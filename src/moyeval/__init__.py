@@ -32,10 +32,8 @@ from .diagram import (
 from .genseries import (
     classical_cycle_polynomial,
     classical_series,
-    cycle_polynomial,
     generating_series_N,
     pochhammer_N,
-    twist,
 )
 from .homfly import (
     CheckReport,
@@ -52,7 +50,6 @@ from .homfly import (
 )
 from .qexact import (
     ExactDivisionError,
-    QALaurent,
     QLaurent,
     TruncatedRSeries,
     exact_div,
@@ -101,7 +98,6 @@ __all__ = [
     "rotation_of_loop",
     # exact rings
     "ExactDivisionError",
-    "QALaurent",
     "QLaurent",
     "TruncatedRSeries",
     "exact_div",
@@ -127,10 +123,8 @@ __all__ = [
     # generating series
     "classical_cycle_polynomial",
     "classical_series",
-    "cycle_polynomial",
     "generating_series_N",
     "pochhammer_N",
-    "twist",
     # homfly
     "CheckReport",
     "HomflySeries",

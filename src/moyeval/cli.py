@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 malformed diagram or coloring,
-3 a requested consistency check failed.
+Exit codes: 0 success, 1 usage error (a negative bound included), 2
+malformed diagram or coloring, 3 a requested consistency check failed.
 
 Diagram arguments accept either a path to a JSON file or the name of a
 built-in diagram (``unknot``, ``theta``, ``tetrahedron``).  Colorings are
@@ -28,6 +28,7 @@ from .diagram import (
     PlanarDiagram,
     builtin,
     builtin_names,
+    format_coloring,
     parse_diagram,
     serialize_diagram,
 )
@@ -92,15 +93,6 @@ def format_rseries(t: TruncatedRSeries) -> str:
     return _join_terms(
         [(t.terms[k], [_power("q", k[0]), _power("a", k[1])]) for k in keys]
     )
-
-
-def format_coloring(coloring: Coloring) -> str:
-    parts = []
-    if coloring.edges:
-        parts.append("edges " + ",".join(f"{k}={v}" for k, v in coloring.edges))
-    if coloring.circles:
-        parts.append("circles " + ",".join(f"{k}={v}" for k, v in coloring.circles))
-    return " ".join(parts) or "empty"
 
 
 def _coloring_json(coloring: Coloring) -> dict:
@@ -473,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homfly", help="truncated HOMFLY series of a positive diagram")
     p.add_argument("diagram")
     p.add_argument("--max-x-degree", type=_nonneg, default=3)
-    p.add_argument("--q-order", type=int, default=12, help="v-exponent truncation bound")
+    p.add_argument("--q-order", type=_nonneg, default=12, help="v-exponent truncation bound")
     p.add_argument("--check", action="store_true", help="verify the defining equation")
     p.add_argument("--check-shift", action="store_true", help="verify the a -> q^2 a identity")
     p.add_argument("--specialize", type=_nonneg, metavar="N", help="compare a = q^N with the state sum")
@@ -492,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--N", dest="n", type=_nonneg, default=2)
     p.add_argument("--max-x-degree", type=_nonneg, default=3)
-    p.add_argument("--q-order", type=int, default=12)
+    p.add_argument("--q-order", type=_nonneg, default=12)
     p.set_defaults(func=_cmd_check)
 
     return parser

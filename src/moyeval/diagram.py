@@ -33,6 +33,7 @@ __all__ = [
     "Circle",
     "PlanarDiagram",
     "Coloring",
+    "format_coloring",
     "FlowViolation",
     "parse_diagram",
     "serialize_diagram",
@@ -174,6 +175,16 @@ class Coloring:
 
     def __repr__(self) -> str:
         return f"Coloring(edges={dict(self.edges)!r}, circles={dict(self.circles)!r})"
+
+
+def format_coloring(coloring: Coloring) -> str:
+    """Render a coloring as ``edges 0=2,1=1 circles 0=3``, or ``empty``."""
+    parts = []
+    if coloring.edges:
+        parts.append("edges " + ",".join(f"{k}={v}" for k, v in coloring.edges))
+    if coloring.circles:
+        parts.append("circles " + ",".join(f"{k}={v}" for k, v in coloring.circles))
+    return " ".join(parts) or "empty"
 
 
 class FlowViolation(NamedTuple):

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 from .cycles import CycleSet
 from .diagram import Coloring, PlanarDiagram
-from .qexact import QALaurent, QLaurent
+from .qexact import QLaurent
 from .qtorus import CycleAlgebra, TorusElement
 
 __all__ = [
     "classical_cycle_polynomial",
     "classical_series",
-    "cycle_polynomial",
-    "twist",
     "pochhammer_N",
     "generating_series_N",
 ]
@@ -63,27 +61,6 @@ def classical_series(d: PlanarDiagram, n: int, *, cycle_set: CycleSet | None = N
                 new[combined] = new.get(combined, 0) + m1 * m2
         table = new
     return table
-
-
-def cycle_polynomial(ca: CycleAlgebra) -> TorusElement:
-    """``Phi`` with two-variable coefficients ``v**(2 rot) b**(-2 rot)``."""
-    terms = {(0,) * len(ca.signature): QALaurent.one()}
-    for index, rot in enumerate(ca.rots):
-        exps = [0] * len(ca.signature)
-        exps[index] = 1
-        terms[tuple(exps)] = QALaurent.monomial(2 * rot, -2 * rot)
-    return TorusElement(ca.signature, terms)
-
-
-def twist(ca: CycleAlgebra, element: TorusElement, k: int) -> TorusElement:
-    """Scale each monomial by ``v**(4 k sum_i alpha_i rot_i)``."""
-    if element.signature != ca.signature:
-        raise ValueError("element does not belong to this cycle algebra")
-    out = {}
-    for exps, coeff in element.terms.items():
-        weight = sum(a * r for a, r in zip(exps, ca.rots))
-        out[exps] = coeff.times_v(4 * k * weight)
-    return TorusElement(ca.signature, out)
 
 
 def pochhammer_N(ca: CycleAlgebra, n: int) -> TorusElement:

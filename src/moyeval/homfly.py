@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .diagram import Coloring, DiagramError, PlanarDiagram
+from .diagram import Coloring, DiagramError, PlanarDiagram, format_coloring
 from .qexact import QLaurent, TruncatedRSeries
 from .qtorus import CycleAlgebra, TorusElement
 from .statesum import eval_table
@@ -410,15 +410,6 @@ def specialize_to_N(hs: HomflySeries, n: int) -> dict:
     return out
 
 
-def _describe_coloring(coloring: Coloring) -> str:
-    parts = []
-    if coloring.edges:
-        parts.append("edges " + ",".join(f"{k}={v}" for k, v in coloring.edges))
-    if coloring.circles:
-        parts.append("circles " + ",".join(f"{k}={v}" for k, v in coloring.circles))
-    return " ".join(parts) or "empty"
-
-
 def specialization_check(hs: HomflySeries, n: int) -> CheckReport:
     """Compare the specialized series with the level-``n`` state sum.
 
@@ -435,21 +426,21 @@ def specialization_check(hs: HomflySeries, n: int) -> CheckReport:
         if coloring not in specialized:
             if exact:
                 problems.append(
-                    f"{_describe_coloring(coloring)}: absent from the series table; "
+                    f"{format_coloring(coloring)}: absent from the series table; "
                     f"the x-degree bound {hs.x_degree} is too small"
                 )
             continue
         value, window = specialized[coloring]
         if exact and exact.max_exponent() > window:
             problems.append(
-                f"{_describe_coloring(coloring)}: exact value reaches v-exponent "
+                f"{format_coloring(coloring)}: exact value reaches v-exponent "
                 f"{exact.max_exponent()} beyond the window {window}; "
                 f"the truncation bound {hs.q_order} is too small"
             )
             continue
         if value != exact:
             problems.append(
-                f"{_describe_coloring(coloring)}: series specializes to {value!r}, "
+                f"{format_coloring(coloring)}: series specializes to {value!r}, "
                 f"state sum gives {exact!r}"
             )
     if problems:

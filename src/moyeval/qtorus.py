@@ -7,9 +7,13 @@ by the normal-ordering rule
     u^alpha * u^beta = v^(sum_{i>j} alpha_i beta_j c(i,j)) u^(alpha+beta),
 
 i.e. exponents always end up sorted by variable index, at the price of a
-power of ``v``.  Coefficients can live in any of the exact rings from
-:mod:`moyeval.qexact` (they must support ``+``, ``*``, ``times_v`` and
-truth testing).
+power of ``v``.
+
+Coefficients are values of one exact ring from :mod:`moyeval.qexact` per
+element, never mixed.  ``torus_mul`` needs ``+``, ``*``, ``times_v`` and
+truth testing of them; ``mu`` needs only ``+``, ``times_v`` and truth
+testing, so its image keeps the ring (and any truncation bound) of its
+input without knowing which ring that is.
 
 Two concrete algebras are built from a diagram:
 
@@ -27,7 +31,8 @@ The algebra map ``mu`` sends a cycle variable to the product of the
 flag variables it runs through (both ``z`` and ``Z`` of every halfedge,
 and the pair for every circle).  It is a ring homomorphism; the skew
 factors picked up on the flag side are exactly the vertex weights of the
-state sum.
+state sum.  Since the image of a cycle monomial is a single flag monomial,
+``mu`` works on exponent tuples and shifts each coefficient once.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .cycles import Cycle, CycleSet
 from .diagram import Coloring, Flag, PlanarDiagram, ROLES
-from .qexact import QALaurent, QLaurent, TruncatedRSeries
+from .qexact import QLaurent
 
 __all__ = [
     "TorusSignature",
@@ -87,16 +92,6 @@ class TorusSignature:
         return f"TorusSignature({list(self.names)!r})"
 
 
-def _one_like(coeff):
-    if isinstance(coeff, QLaurent):
-        return QLaurent.one()
-    if isinstance(coeff, QALaurent):
-        return QALaurent.one()
-    if isinstance(coeff, TruncatedRSeries):
-        return TruncatedRSeries.one(coeff.q_order)
-    raise TypeError(f"unsupported coefficient type {type(coeff).__name__}")
-
-
 def _mul_exps(signature: TorusSignature, ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Normal-ordering shift (in v-units) and combined exponents."""
     skew = signature.skew
@@ -131,9 +126,6 @@ class TorusElement:
     @classmethod
     def monomial(cls, signature: TorusSignature, exps: Sequence[int], coeff) -> "TorusElement":
         return cls(signature, {tuple(exps): coeff})
-
-    def zero_exps(self) -> tuple[int, ...]:
-        return (0,) * len(self.signature)
 
     def _check_signature(self, other: "TorusElement") -> None:
         if self.signature != other.signature:
@@ -175,23 +167,6 @@ class TorusElement:
         if isinstance(other, TorusElement):
             return torus_mul(self, other)
         return NotImplemented
-
-    def __pow__(self, n: int) -> "TorusElement":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        if not self.terms and n == 0:
-            raise ValueError("cannot raise the zero element to the power 0")
-        out = None
-        for _ in range(n):
-            out = self if out is None else torus_mul(out, self)
-        if out is None:
-            some = next(iter(self.terms.values()))
-            out = TorusElement.monomial(self.signature, self.zero_exps(), _one_like(some))
-        return out
-
-    def scale(self, coeff) -> "TorusElement":
-        """Multiply every coefficient by a central scalar."""
-        return TorusElement(self.signature, {e: c * coeff for e, c in self.terms.items()})
 
     def times_v(self, k: int) -> "TorusElement":
         return TorusElement(self.signature, {e: c.times_v(k) for e, c in self.terms.items()})
@@ -263,8 +238,8 @@ class FlagAlgebra:
             names.append(f"Z[circle {c.id}]")
         self.signature = TorusSignature.from_entries(names, entries)
 
-    def cycle_monomial(self, cycle: Cycle, coeff) -> TorusElement:
-        """The flag monomial of a single cycle: z and Z of each halfedge."""
+    def cycle_exponents(self, cycle: Cycle) -> tuple[int, ...]:
+        """Exponents of a cycle's flag monomial: z and Z of each halfedge."""
         exps = [0] * len(self.signature)
         for halfedge in cycle.halfedges:
             exps[self.z_index[halfedge]] += 1
@@ -272,7 +247,11 @@ class FlagAlgebra:
         for circle_id in cycle.circle_ids:
             exps[self.z_circle[circle_id]] += 1
             exps[self.Z_circle[circle_id]] += 1
-        return TorusElement.monomial(self.signature, exps, coeff)
+        return tuple(exps)
+
+    def cycle_monomial(self, cycle: Cycle, coeff) -> TorusElement:
+        """The flag monomial of a single cycle with the given coefficient."""
+        return TorusElement.monomial(self.signature, self.cycle_exponents(cycle), coeff)
 
     def flow_of_monomial(self, exps: Sequence[int]) -> Coloring | None:
         """Read a monomial's exponents as an edge/circle coloring.
@@ -318,7 +297,7 @@ class CycleAlgebra:
         self.signature = TorusSignature.from_entries(names, entries)
         self.rots = tuple(cycle.rot for cycle in self.variables)
         self.flag_algebra = FlagAlgebra(d)
-        self._images: dict[tuple, TorusElement] = {}
+        self._image_exps = tuple(self.flag_algebra.cycle_exponents(c) for c in self.variables)
 
     def variable(self, index: int, coeff=None) -> TorusElement:
         """The monomial for variable ``index`` (0-based over nonempty cycles)."""
@@ -330,28 +309,20 @@ class CycleAlgebra:
         exps = (0,) * len(self.signature)
         return TorusElement.monomial(self.signature, exps, coeff if coeff is not None else QLaurent.one())
 
-    def _image(self, index: int, one) -> TorusElement:
-        key = (index, type(one).__name__, getattr(one, "q_order", None))
-        cached = self._images.get(key)
-        if cached is None:
-            cached = self.flag_algebra.cycle_monomial(self.variables[index], one)
-            self._images[key] = cached
-        return cached
-
     def mu(self, element: TorusElement) -> TorusElement:
         """Apply the flag substitution homomorphism to a cycle-side element."""
         if element.signature != self.signature:
             raise ValueError("element does not belong to this cycle algebra")
         flag_sig = self.flag_algebra.signature
-        out = TorusElement.zero(flag_sig)
         zero_exps = (0,) * len(flag_sig)
+        out: dict[tuple[int, ...], object] = {}
         for exps, coeff in element.terms.items():
-            acc = TorusElement.monomial(flag_sig, zero_exps, coeff)
-            one = _one_like(coeff)
-            for index, power in enumerate(exps):
-                if power:
-                    image = self._image(index, one)
-                    for _ in range(power):
-                        acc = torus_mul(acc, image)
-            out = out + acc
-        return out
+            shift, acc = 0, zero_exps
+            for image, power in zip(self._image_exps, exps):
+                for _ in range(power):
+                    step, acc = _mul_exps(flag_sig, acc, image)
+                    shift += step
+            term = coeff.times_v(shift)
+            prev = out.get(acc)
+            out[acc] = term if prev is None else prev + term
+        return TorusElement(flag_sig, out)

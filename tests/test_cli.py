@@ -38,6 +38,12 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "eval", "unknot")[0] == 1  # --N is required
     assert run(capsys, "eval", "unknot", "--N", "-1")[0] == 1
     assert run(capsys, "check", "theta", "--suite", "nope")[0] == 1
+    # a negative truncation bound used to pass --check on an empty table
+    for argv in (("homfly", "theta", "--q-order", "-1", "--check"),
+                 ("check", "theta", "--suite", "homfly", "--q-order", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert "--q-order: must be nonnegative" in err
 
 
 def test_missing_and_malformed_diagram_files(capsys, tmp_path):

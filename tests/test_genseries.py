@@ -5,12 +5,10 @@ from moyeval.diagram import Coloring, builtin
 from moyeval.genseries import (
     classical_cycle_polynomial,
     classical_series,
-    cycle_polynomial,
     generating_series_N,
     pochhammer_N,
-    twist,
 )
-from moyeval.qexact import QALaurent, QLaurent
+from moyeval.qexact import QLaurent
 from moyeval.qtorus import CycleAlgebra
 from moyeval.statesum import classical_eval, eval_table
 
@@ -51,31 +49,6 @@ def test_classical_series_matches_state_counts():
             assert set(series) == set(table)
             for coloring, count in series.items():
                 assert count == classical_eval(d, coloring, n)
-
-
-def test_cycle_polynomial_coefficients_track_rotation():
-    ca = CycleAlgebra(builtin("theta"))
-    p = cycle_polynomial(ca)
-    assert p.coefficient((0, 0)) == QALaurent.one()
-    assert p.coefficient((1, 0)) == QALaurent.monomial(2, -2)
-    assert p.coefficient((0, 1)) == QALaurent.monomial(2, -2)
-    # the rotation -1 triangle of the tetrahedron flips both exponents
-    ca_t = CycleAlgebra(builtin("tetrahedron"))
-    p_t = cycle_polynomial(ca_t)
-    assert p_t.coefficient((1, 0, 0)) == QALaurent.monomial(-2, 2)
-    assert p_t.coefficient((0, 1, 0)) == QALaurent.monomial(2, -2)
-
-
-def test_twist():
-    ca = CycleAlgebra(builtin("tetrahedron"))
-    assert ca.rots == (-1, 1, 1)
-    p = pochhammer_N(ca, 1)
-    twisted = twist(ca, p, 1)
-    assert twisted.coefficient((0, 0, 0)) == QLaurent.one()
-    assert twisted.coefficient((1, 0, 0)) == QLaurent.monomial(-4)
-    assert twisted.coefficient((0, 1, 0)) == QLaurent.monomial(4)
-    assert twist(ca, p, 0) == p
-    assert twist(ca, twisted, -1) == p
 
 
 def test_pochhammer_levels():
