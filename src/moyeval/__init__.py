@@ -43,7 +43,6 @@ from .homfly import (
     check_fphi,
     check_shift,
     homfly_series,
-    pochhammer_inf,
     series_invert,
     specialization_check,
     specialize_to_N,
@@ -133,7 +132,6 @@ __all__ = [
     "check_fphi",
     "check_shift",
     "homfly_series",
-    "pochhammer_inf",
     "series_invert",
     "specialization_check",
     "specialize_to_N",

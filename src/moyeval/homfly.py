@@ -22,6 +22,12 @@ flow coloring, a truncated two-variable series in ``q`` and ``a``; setting
 window.  ``check_fphi`` and ``check_shift`` verify the defining equation
 and the ``a -> q**2 a`` shift identity on the truncated data.
 
+``_assemble`` is the only code that builds the two products and ``G``.
+``homfly_series`` builds them once and keeps them on ``HomflySeries``;
+``check_fphi`` checks those kept products instead of building a copy.
+``check_shift`` needs a larger internal bound than the kept ones carry,
+and a truncation bound can only be lowered, so it assembles its own.
+
 Truncation caveats are handled explicitly: products of series whose
 coefficients carry negative v-exponents, and the ``shift_a`` substitution,
 can move discarded terms back below the bound, so the shift identity is
@@ -40,7 +46,6 @@ from .statesum import eval_table
 
 __all__ = [
     "TruncatedTorusSeries",
-    "pochhammer_inf",
     "series_invert",
     "HomflySeries",
     "homfly_series",
@@ -221,18 +226,6 @@ def _poch_inf(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int)
     return acc
 
 
-def pochhammer_inf(
-    ca: CycleAlgebra, a_inverted: bool, x_degree: int, q_order: int
-) -> TruncatedTorusSeries:
-    """The twisted product ``poch(a)`` (or ``poch(a^{-1})`` when inverted).
-
-    Computed with internal headroom, so every returned coefficient term is
-    the true one.
-    """
-    work = q_order + _skew_margin(ca, x_degree)
-    return _poch_inf(ca, 2, 2 if a_inverted else -2, x_degree, work).retruncate(q_order)
-
-
 def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
     """Invert a series with constant term 1, modulo both truncations."""
     if s.constant_term() != TruncatedRSeries.one(s.q_order):
@@ -251,17 +244,37 @@ def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
     return out
 
 
+def _assemble(
+    ca: CycleAlgebra, x_degree: int, work: int
+) -> tuple[TruncatedTorusSeries, TruncatedTorusSeries, TruncatedTorusSeries]:
+    """``poch(a)``, ``poch(a^{-1})`` and ``G = poch(a) * poch(a^{-1})^{-1}`` at bound ``work``."""
+    poch_a = _poch_inf(ca, 2, -2, x_degree, work)
+    poch_ainv = _poch_inf(ca, 2, 2, x_degree, work)
+    return poch_a, poch_ainv, poch_a * series_invert(poch_ainv)
+
+
 @dataclass(frozen=True)
 class HomflySeries:
-    """The truncated HOMFLY data of a positive diagram."""
+    """The truncated HOMFLY data of a positive diagram.
+
+    ``poch_a``, ``poch_ainv`` and ``series_work`` (``G``) are the products
+    ``homfly_series`` built, kept at its internal work bound
+    ``poch_a.q_order`` so that ``check_fphi`` checks them, not a copy.
+    """
 
     diagram: PlanarDiagram
     cycle_algebra: CycleAlgebra
     x_degree: int
     q_order: int
-    series: TruncatedTorusSeries  # cycle side: poch(a) * poch(a^-1)^-1
-    flag_series: TorusElement  # mu of the above
+    poch_a: TruncatedTorusSeries
+    poch_ainv: TruncatedTorusSeries
+    series_work: TruncatedTorusSeries  # poch_a * poch_ainv^-1
     table: dict  # Coloring -> TruncatedRSeries
+
+    @property
+    def series(self) -> TruncatedTorusSeries:
+        """The cycle-side series ``G`` at the target bound ``q_order``."""
+        return self.series_work.retruncate(self.q_order)
 
 
 def homfly_series(d: PlanarDiagram, x_degree: int, q_order: int) -> HomflySeries:
@@ -269,22 +282,15 @@ def homfly_series(d: PlanarDiagram, x_degree: int, q_order: int) -> HomflySeries
 
     The whole pipeline (products, inversion, the flag substitution) runs at
     an internally enlarged v-bound and is re-truncated at the end, so every
-    stored term is the true series coefficient.
+    stored table term is the true series coefficient.
     """
     ca = CycleAlgebra(d)
-    work = q_order + _skew_margin(ca, x_degree)
-    poch_a = _poch_inf(ca, 2, -2, x_degree, work)
-    poch_ainv = _poch_inf(ca, 2, 2, x_degree, work)
-    series_work = poch_a * series_invert(poch_ainv)
-    flag_work = ca.mu(series_work.element)
-    series = series_work.retruncate(q_order)
-    flag_terms = {}
+    poch_a, poch_ainv, series_work = _assemble(ca, x_degree, q_order + _skew_margin(ca, x_degree))
     table: dict[Coloring, TruncatedRSeries] = {}
-    for exps, coeff in flag_work.terms.items():
+    for exps, coeff in ca.mu(series_work.element).terms.items():
         tight = coeff.retruncate(q_order)
         if not tight:
             continue
-        flag_terms[exps] = tight
         coloring = ca.flag_algebra.flow_of_monomial(exps)
         assert coloring is not None, "cycle-algebra product produced a non-flow monomial"
         if coloring in table:
@@ -292,8 +298,7 @@ def homfly_series(d: PlanarDiagram, x_degree: int, q_order: int) -> HomflySeries
         else:
             table[coloring] = tight
     table = {coloring: coeff for coloring, coeff in table.items() if coeff}
-    flag_series = TorusElement(flag_work.signature, flag_terms)
-    return HomflySeries(d, ca, x_degree, q_order, series, flag_series, table)
+    return HomflySeries(d, ca, x_degree, q_order, poch_a, poch_ainv, series_work, table)
 
 
 @dataclass(frozen=True)
@@ -310,20 +315,15 @@ class CheckReport:
 def check_fphi(hs: HomflySeries) -> CheckReport:
     """Verify ``G * poch(a^{-1}) == poch(a)`` at the stored bounds.
 
-    Both sides are recomputed with headroom and compared after truncating
-    back, so the comparison is between true coefficients.
+    The residual is formed from the products ``hs`` keeps at its work
+    bound and compared after truncating back, so the comparison is between
+    true coefficients.
     """
-    ca = hs.cycle_algebra
-    work = hs.q_order + _skew_margin(ca, hs.x_degree)
-    poch_a = _poch_inf(ca, 2, -2, hs.x_degree, work)
-    poch_ainv = _poch_inf(ca, 2, 2, hs.x_degree, work)
-    series = poch_a * series_invert(poch_ainv)
-    residual = (series * poch_ainv).retruncate(hs.q_order) - poch_a.retruncate(hs.q_order)
+    bound = hs.q_order
+    residual = (hs.series_work * hs.poch_ainv).retruncate(bound) - hs.poch_a.retruncate(bound)
     ok = not residual
     if ok:
-        detail = (
-            f"residual vanishes at x-degree <= {hs.x_degree}, v-exponent <= {hs.q_order}"
-        )
+        detail = f"residual vanishes at x-degree <= {hs.x_degree}, v-exponent <= {bound}"
     else:
         detail = f"residual has {len(residual.element.terms)} monomials"
     return CheckReport("defining-equation", ok, detail)
@@ -345,9 +345,7 @@ def check_shift(hs: HomflySeries) -> CheckReport:
     margin = 4 * deg * r_max + 2 * r_max + _skew_margin(ca, deg)
     work = bound + margin
 
-    poch_a = _poch_inf(ca, 2, -2, deg, work)
-    poch_ainv = _poch_inf(ca, 2, 2, deg, work)
-    series = poch_a * series_invert(poch_ainv)
+    poch_a, poch_ainv, series = _assemble(ca, deg, work)
     factor_qinv = _linear_factor(ca, -2, -2, 0, deg, work)
     factor_ainv = _linear_factor(ca, 2, 2, 0, deg, work)
 
@@ -391,17 +389,21 @@ class SpecializedCoefficient(NamedTuple):
     window: int  # the substitution is exact for v-exponents <= window
 
 
-def specialize_to_N(hs: HomflySeries, n: int) -> dict:
-    """Set ``a = q**n`` in every table entry, restricted to its safe window.
+def _specialization_window(hs: HomflySeries, n: int) -> int:
+    """The largest v-exponent where ``a = q**n`` gives exact values.
 
     Coefficients of the series carry b-exponents no lower than
     ``-2 * x_degree * R``; a term discarded above the v-bound can therefore
-    land at most ``2 n x_degree R`` below it after substitution, which
-    bounds the window where the substituted values are exact.
+    land at most ``2 n x_degree R`` below it after substitution.  The
+    window is the same for every coloring.
     """
     r_max = max((abs(r) for r in hs.cycle_algebra.rots), default=0)
-    floor = -2 * hs.x_degree * r_max
-    window = hs.q_order + n * min(0, floor)
+    return hs.q_order - 2 * n * hs.x_degree * r_max
+
+
+def specialize_to_N(hs: HomflySeries, n: int) -> dict:
+    """Set ``a = q**n`` in every table entry, restricted to its safe window."""
+    window = _specialization_window(hs, n)
     out = {}
     for coloring, coeff in hs.table.items():
         substituted = coeff.substitute_a(n)
@@ -413,24 +415,17 @@ def specialize_to_N(hs: HomflySeries, n: int) -> dict:
 def specialization_check(hs: HomflySeries, n: int) -> CheckReport:
     """Compare the specialized series with the level-``n`` state sum.
 
-    Every coloring realized by the state sum must appear in the series
-    table with a window wide enough to contain the exact value; every
-    series coloring the state sum does not realize must specialize to zero
-    within its window.
+    The window must contain every exact value, or the truncation bound is
+    too small; within it, every coloring realized by the state sum must
+    appear in the series table, or the x-degree bound is too small; every
+    series coloring the state sum does not realize must specialize to zero.
     """
     reference = eval_table(hs.diagram, n)
     specialized = specialize_to_N(hs, n)
+    window = _specialization_window(hs, n)
     problems = []
     for coloring in sorted(set(reference) | set(specialized), key=Coloring.sort_key):
         exact = reference.get(coloring, QLaurent.zero())
-        if coloring not in specialized:
-            if exact:
-                problems.append(
-                    f"{format_coloring(coloring)}: absent from the series table; "
-                    f"the x-degree bound {hs.x_degree} is too small"
-                )
-            continue
-        value, window = specialized[coloring]
         if exact and exact.max_exponent() > window:
             problems.append(
                 f"{format_coloring(coloring)}: exact value reaches v-exponent "
@@ -438,6 +433,14 @@ def specialization_check(hs: HomflySeries, n: int) -> CheckReport:
                 f"the truncation bound {hs.q_order} is too small"
             )
             continue
+        if coloring not in specialized:
+            if exact:
+                problems.append(
+                    f"{format_coloring(coloring)}: absent from the series table; "
+                    f"the x-degree bound {hs.x_degree} is too small"
+                )
+            continue
+        value = specialized[coloring].value
         if value != exact:
             problems.append(
                 f"{format_coloring(coloring)}: series specializes to {value!r}, "

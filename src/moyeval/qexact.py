@@ -147,11 +147,6 @@ class QLaurent:
             raise ValueError("the zero polynomial has no exponents")
         return max(self.terms)
 
-    def min_exponent(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no exponents")
-        return min(self.terms)
-
     def is_symmetric(self) -> bool:
         """True when invariant under ``v -> 1/v``."""
         return all(self.terms.get(-exp, 0) == coeff for exp, coeff in self.terms.items())
@@ -375,9 +370,6 @@ class TruncatedRSeries:
                 f"cannot raise a truncation bound ({self.q_order} -> {q_order})"
             )
         return TruncatedRSeries(q_order, self.terms)
-
-    def coefficient(self, v_exp: int, b_exp: int) -> int:
-        return self.terms.get((v_exp, b_exp), 0)
 
     def __repr__(self) -> str:
         return (

@@ -171,9 +171,6 @@ class TorusElement:
     def times_v(self, k: int) -> "TorusElement":
         return TorusElement(self.signature, {e: c.times_v(k) for e, c in self.terms.items()})
 
-    def coefficient(self, exps: Sequence[int]):
-        return self.terms.get(tuple(exps))
-
     def __repr__(self) -> str:
         parts = []
         for exps in sorted(self.terms):
@@ -303,10 +300,6 @@ class CycleAlgebra:
         """The monomial for variable ``index`` (0-based over nonempty cycles)."""
         exps = [0] * len(self.signature)
         exps[index] = 1
-        return TorusElement.monomial(self.signature, exps, coeff if coeff is not None else QLaurent.one())
-
-    def one(self, coeff=None) -> TorusElement:
-        exps = (0,) * len(self.signature)
         return TorusElement.monomial(self.signature, exps, coeff if coeff is not None else QLaurent.one())
 
     def mu(self, element: TorusElement) -> TorusElement:

@@ -1,16 +1,17 @@
 """Truncated HOMFLY generating series and its consistency checks."""
 
+import dataclasses
 import random
 
 import pytest
 
+import moyeval.homfly
 from moyeval.diagram import Coloring, DiagramError, builtin
 from moyeval.homfly import (
     TruncatedTorusSeries,
     check_fphi,
     check_shift,
     homfly_series,
-    pochhammer_inf,
     series_invert,
     specialization_check,
     specialize_to_N,
@@ -103,7 +104,7 @@ def test_series_invert_requires_unit_constant_term():
 
 
 def test_pochhammer_inf_unknot_frozen():
-    p = pochhammer_inf(unknot_algebra(), False, 2, 8)
+    p = homfly_series(builtin("unknot"), 2, 8).poch_a.retruncate(8)
     assert dict(p.coefficient((0,)).terms) == {(0, 0): 1}
     assert dict(p.coefficient((1,)).terms) == {(2, -2): 1, (6, -2): 1}
     assert dict(p.coefficient((2,)).terms) == {(8, -4): 1}
@@ -111,17 +112,13 @@ def test_pochhammer_inf_unknot_frozen():
 
 def test_pochhammer_inf_b_exponent_signs():
     for name in ("unknot", "theta"):
-        ca = CycleAlgebra(builtin(name))
-        plain = pochhammer_inf(ca, False, 3, 8)
-        inverted = pochhammer_inf(ca, True, 3, 8)
-        for series, sign in ((plain, -1), (inverted, 1)):
+        hs = homfly_series(builtin(name), 3, 8)
+        for series, sign in ((hs.poch_a, -1), (hs.poch_ainv, 1)):
             for coeff in series.element.terms.values():
                 assert all(sign * b >= 0 for _, b in coeff.terms)
 
 
 def test_pochhammer_inf_needs_positive_diagram():
-    with pytest.raises(DiagramError, match="positive diagram"):
-        pochhammer_inf(CycleAlgebra(builtin("tetrahedron")), False, 2, 8)
     with pytest.raises(DiagramError, match="positive diagram"):
         homfly_series(builtin("tetrahedron"), 2, 8)
 
@@ -155,6 +152,39 @@ def test_defining_equation_residual_vanishes():
         assert report.name == "defining-equation"
         assert report.ok, report.detail
         assert f"x-degree <= {x_degree}" in report.detail
+
+
+def test_defining_equation_checks_the_kept_series():
+    hs = homfly_series(builtin("theta"), 3, 8)
+    terms = hs.series_work.element.terms
+    exps = next(e for e in sorted(terms) if any(e))
+    altered = dict(terms)
+    altered[exps] = terms[exps] + TruncatedRSeries.monomial(hs.series_work.q_order, 4, 0)
+    broken = dataclasses.replace(
+        hs,
+        series_work=TruncatedTorusSeries(
+            hs.x_degree,
+            hs.series_work.q_order,
+            TorusElement(hs.series_work.element.signature, altered),
+        ),
+    )
+    report = check_fphi(broken)
+    assert not report.ok
+    assert report.detail.startswith("residual has ")
+
+
+def test_products_are_built_once_per_series_and_check(monkeypatch):
+    calls = []
+    original = moyeval.homfly._poch_inf
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(moyeval.homfly, "_poch_inf", counting)
+    hs = homfly_series(builtin("theta"), 2, 8)
+    assert check_fphi(hs).ok
+    assert len(calls) == 2
 
 
 def test_shift_property_holds():
@@ -199,3 +229,9 @@ def test_specialization_diagnostics():
     report = specialization_check(homfly_series(builtin("unknot"), 2, 8), 2)
     assert not report.ok
     assert "beyond the window 0; the truncation bound 8 is too small" in report.detail
+    # theta at x-degree 1 sees the coloring, but Q = 0 puts every term past the window
+    report = specialization_check(homfly_series(builtin("theta"), 1, 0), 1)
+    assert not report.ok
+    assert "edges 0=1,1=1: exact value reaches v-exponent" in report.detail
+    assert "the truncation bound 0 is too small" in report.detail
+    assert "x-degree" not in report.detail

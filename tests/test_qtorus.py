@@ -49,9 +49,8 @@ def test_element_basics():
     assert zero.terms == {}
     assert (a - a) == zero
     assert a + b - b == a
-    assert a.coefficient((1, 0)) == QLaurent.one()
-    assert a.coefficient((9, 9)) is None  # ring zero is not known here
-    assert a.times_v(3).coefficient((1, 0)) == QLaurent.monomial(3)
+    assert a.terms == {(1, 0): QLaurent.one()}
+    assert a.times_v(3).terms == {(1, 0): QLaurent.monomial(3)}
 
 
 def test_skew_commutation():
@@ -213,7 +212,7 @@ def test_mu_respects_linearity_and_units():
     ca = CycleAlgebra(builtin("theta"))
     fa_sig = ca.flag_algebra.signature
     unit = TorusElement.monomial(fa_sig, (0,) * len(fa_sig.names), QLaurent.one())
-    assert ca.mu(ca.one()) == unit
+    assert ca.mu(TorusElement.monomial(ca.signature, (0,) * len(ca.signature), QLaurent.one())) == unit
     e = ca.variable(0, QLaurent.monomial(2)) + ca.variable(1)
     assert ca.mu(e) == ca.mu(ca.variable(0)).times_v(2) + ca.mu(ca.variable(1))
 
