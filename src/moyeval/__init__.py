@@ -62,11 +62,9 @@ from .statesum import (
     classical_eval,
     doubled_labels,
     eval_table,
+    eval_table_alt,
     moy_eval,
     moy_eval_alt,
-    state_exponent,
-    state_flow,
-    vertex_weight_exponent,
 )
 
 __version__ = "0.1.0"
@@ -114,11 +112,9 @@ __all__ = [
     "classical_eval",
     "doubled_labels",
     "eval_table",
+    "eval_table_alt",
     "moy_eval",
     "moy_eval_alt",
-    "state_exponent",
-    "state_flow",
-    "vertex_weight_exponent",
     # generating series
     "classical_cycle_polynomial",
     "classical_series",

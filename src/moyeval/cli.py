@@ -42,7 +42,7 @@ from .homfly import (
 )
 from .qexact import QLaurent, TruncatedRSeries
 from .qtorus import CycleAlgebra, torus_mul
-from .statesum import eval_table, moy_eval
+from .statesum import eval_table, eval_table_alt, moy_eval
 
 __all__ = ["main", "format_qlaurent", "format_rseries", "format_coloring", "parse_coloring_spec"]
 
@@ -260,7 +260,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_classical(args) -> int:
     d = _load_diagram(args.diagram)
-    table = classical_series(d, args.n)
+    cs = CycleSet(d)
+    table = classical_series(d, args.n, cycle_set=cs)
     rc = 0
     if args.format == "json":
         _emit_json(
@@ -273,7 +274,7 @@ def _cmd_classical(args) -> int:
         for coloring, count in _sorted_table(table):
             print(f"{format_coloring(coloring)} -> {count}")
     if args.check:
-        reference = {c: v.evaluate_one() for c, v in eval_table(d, args.n).items()}
+        reference = {c: v.evaluate_one() for c, v in eval_table(d, args.n, cycle_set=cs).items()}
         rc = _report_table_check(table, reference, "convolution count", "state count")
     return rc
 
@@ -297,7 +298,8 @@ def _report_table_check(table: dict, reference: dict, left: str, right: str) -> 
 
 def _cmd_series(args) -> int:
     d = _load_diagram(args.diagram)
-    table = generating_series_N(d, args.n)
+    ca = CycleAlgebra(d)
+    table = generating_series_N(d, args.n, cycle_algebra=ca)
     rc = 0
     if args.format == "json":
         _emit_json(
@@ -310,7 +312,8 @@ def _cmd_series(args) -> int:
         for coloring, value in _sorted_table(table):
             print(f"{format_coloring(coloring)} -> {format_qlaurent(value)}")
     if args.check:
-        rc = _report_table_check(table, eval_table(d, args.n), "twisted product", "state sum")
+        reference = eval_table(d, args.n, cycle_set=ca.cycle_set)
+        rc = _report_table_check(table, reference, "twisted product", "state sum")
     return rc
 
 
@@ -357,11 +360,10 @@ def _cmd_homfly(args) -> int:
     return rc
 
 
-def _check_mu(d: PlanarDiagram) -> tuple[bool, str]:
+def _check_mu(ca: CycleAlgebra) -> tuple[bool, str]:
     # Each unordered pair is multiplied once in each order.  The skew is
     # antisymmetric, so (i, j) fails exactly when (j, i) does, and the first
     # failing ordered pair has i < j.
-    ca = CycleAlgebra(d)
     images = [ca.flag_algebra.cycle_monomial(cycle, QLaurent.one()) for cycle in ca.variables]
     count = 0
     for i, image_i in enumerate(images):
@@ -379,25 +381,27 @@ def _check_mu(d: PlanarDiagram) -> tuple[bool, str]:
 def _cmd_check(args) -> int:
     d = _load_diagram(args.diagram)
     n = args.n
-    if args.suite == "counts":
-        table = classical_series(d, n)
-        reference = {c: v.evaluate_one() for c, v in eval_table(d, n).items()}
-        ok = table == reference
-        detail = f"convolution vs state counts, {len(table)} colorings at level {n}"
-    elif args.suite == "series":
-        ok = generating_series_N(d, n) == eval_table(d, n)
-        detail = f"twisted product vs state sum at level {n}"
-    elif args.suite == "homfly":
+    if args.suite == "homfly":
         hs = homfly_series(d, args.max_x_degree, args.q_order)
         reports = [check_fphi(hs), check_shift(hs), specialization_check(hs, n)]
         for report in reports:
             _print_report(report)
         return 0 if all(r.all_ok() for r in reports) else 3
+    cs = CycleSet(d)  # both routes of every other suite share it
+    if args.suite == "counts":
+        table = classical_series(d, n, cycle_set=cs)
+        reference = {c: v.evaluate_one() for c, v in eval_table(d, n, cycle_set=cs).items()}
+        ok = table == reference
+        detail = f"convolution vs state counts, {len(table)} colorings at level {n}"
+    elif args.suite == "series":
+        series = generating_series_N(d, n, cycle_algebra=CycleAlgebra(d, cs))
+        ok = series == eval_table(d, n, cycle_set=cs)
+        detail = f"twisted product vs state sum at level {n}"
     elif args.suite == "weights":
-        ok = eval_table(d, n) == eval_table(d, n, alt=True)
+        ok = eval_table(d, n, cycle_set=cs) == eval_table_alt(d, n, cycle_set=cs)
         detail = f"both vertex-weight forms at level {n}"
     else:  # mu
-        ok, detail = _check_mu(d)
+        ok, detail = _check_mu(CycleAlgebra(d, cs))
     print(f"{'ok' if ok else 'FAIL'}: {args.suite} ({detail})")
     return 0 if ok else 3
 

@@ -9,10 +9,12 @@ over.
 Each circuit has a rotation number, +1 or -1, read off exactly from the
 embedding: the sign of the area enclosed by the traced polyline (circles
 carry their orientation explicitly).  A cycle also remembers the set of
-*halfedges* (vertex flags) it runs through; those drive both the
-noncommutative variable ordering and the intersection pairing
+*halfedges* (vertex flags) it runs through, which drive the noncommutative
+variable ordering, and the sets ``left_at`` and ``right_at`` of vertices
+whose ``l`` or ``r`` flag it holds.  Those give the vertex terms of the
+state sum and the intersection pairing
 
-    2 * <C, C'> = #{v : (v,l) in C, (v,r) in C'} - #{v : (v,r) in C, (v,l) in C'}
+    2 * <C, C'> = #(left_at(C) & right_at(C')) - #(right_at(C) & left_at(C'))
 
 which is kept in doubled (integer) form throughout.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .diagram import Coloring, DiagramError, Flag, PlanarDiagram, Point
+from .diagram import Coloring, DiagramError, PlanarDiagram, Point
 
 __all__ = [
     "Component",
@@ -68,7 +70,9 @@ class Component(NamedTuple):
 class Cycle:
     """A union of pairwise vertex-disjoint circuits (possibly empty)."""
 
-    __slots__ = ("components", "edge_ids", "circle_ids", "halfedges", "vertices", "rot")
+    __slots__ = (
+        "components", "edge_ids", "circle_ids", "halfedges", "left_at", "right_at", "vertices", "rot"
+    )
 
     def __init__(self, components: Iterable[Component] = ()):
         self.components = tuple(sorted(components, key=Component.sort_key))
@@ -77,6 +81,8 @@ class Cycle:
             comp.circle_id for comp in self.components if comp.circle_id is not None
         )
         self.halfedges = frozenset(h for comp in self.components for h in comp.halfedges)
+        self.left_at = frozenset(v for v, role in self.halfedges if role == "l")
+        self.right_at = frozenset(v for v, role in self.halfedges if role == "r")
         self.vertices = frozenset(v for comp in self.components for v in comp.vertices)
         self.rot = sum(comp.rot for comp in self.components)
 
@@ -192,13 +198,7 @@ def pairing_doubled(c1: Cycle, c2: Cycle) -> int:
     Counts vertices where ``c1`` holds the left flag and ``c2`` the right,
     minus those with the roles swapped.  Antisymmetric in its arguments.
     """
-    total = 0
-    for vertex, role in c1.halfedges:
-        if role == "l" and Flag(vertex, "r") in c2.halfedges:
-            total += 1
-        elif role == "r" and Flag(vertex, "l") in c2.halfedges:
-            total -= 1
-    return total
+    return len(c1.left_at & c2.right_at) - len(c1.right_at & c2.left_at)
 
 
 class CycleSet:

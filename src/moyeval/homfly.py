@@ -420,7 +420,7 @@ def specialization_check(hs: HomflySeries, n: int) -> CheckReport:
     appear in the series table, or the x-degree bound is too small; every
     series coloring the state sum does not realize must specialize to zero.
     """
-    reference = eval_table(hs.diagram, n)
+    reference = eval_table(hs.diagram, n, cycle_set=hs.cycle_algebra.cycle_set)
     specialized = specialize_to_N(hs, n)
     window = _specialization_window(hs, n)
     problems = []

@@ -15,29 +15,34 @@ multiplicities match a given coloring yields the evaluation of that
 colored diagram; it is always a Laurent polynomial in ``v**2``, i.e. in
 half-integer powers of ``q``.
 
-``moy_eval_alt`` uses the equivalent vertex exponent
-``|left| * |right| - 2L`` instead of ``R - L``; the two agree because no
-label can sit on both flags of one vertex.
+``eval_table`` and ``moy_eval`` add the labels in ascending order and keep,
+for each partial coloring, the exponents reached so far.  Label ``s`` is
+larger than every earlier label, so joining cycle ``C`` shifts the exponent
+by ``2 s rot(C)``, plus the current color of the ``l`` edge at each vertex
+where ``C`` holds ``r`` (new ``R`` pairs), minus the current color of the
+``r`` edge at each vertex where ``C`` holds ``l`` (new ``L`` pairs).
+``moy_eval`` drops partial colorings that already exceed its target.
+``eval_table_alt`` is the reference: it lists all (cycles)**N states and
+uses the equivalent vertex exponent ``|left| * |right| - 2L``, equal
+because no label can sit on both flags of one vertex.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from collections import Counter
 
 from .cycles import CycleSet
-from .diagram import Coloring, DiagramError, PlanarDiagram, validate_coloring
+from .diagram import Coloring, DiagramError, Flag, PlanarDiagram, validate_coloring
 from .qexact import QLaurent
 
 __all__ = [
     "doubled_labels",
-    "state_flow",
-    "state_exponent",
-    "vertex_weight_exponent",
     "moy_eval",
     "moy_eval_alt",
     "classical_eval",
     "eval_table",
+    "eval_table_alt",
 ]
 
 
@@ -46,102 +51,75 @@ def doubled_labels(n: int) -> list[int]:
     return [2 * i - (n - 1) for i in range(n)]
 
 
-class _Space:
-    """Per-diagram tables that make state enumeration cheap."""
-
-    def __init__(self, d: PlanarDiagram, cycle_set: CycleSet | None = None):
-        self.diagram = d
-        self.cycles = cycle_set or CycleSet(d)
-        self.edge_ids = [e.id for e in d.edges]
-        self.circle_ids = [c.id for c in d.circles]
-        self.edge_sets = [cycle.edge_ids for cycle in self.cycles]
-        self.circle_sets = [cycle.circle_ids for cycle in self.cycles]
-        self.rots = [cycle.rot for cycle in self.cycles]
-        self.left_at = []  # per cycle: vertices whose l flag the cycle holds
-        self.right_at = []
-        for cycle in self.cycles:
-            self.left_at.append(frozenset(v for v, role in cycle.halfedges if role == "l"))
-            self.right_at.append(frozenset(v for v, role in cycle.halfedges if role == "r"))
-        self.vertex_ids = [v.id for v in d.vertices]
-
-
-def state_flow(cycle_set: CycleSet, state: Sequence[int]) -> Coloring:
-    """The coloring accumulated by a state (edge and circle multiplicities)."""
-    edges: dict[int, int] = {}
-    circles: dict[int, int] = {}
-    for index in state:
-        cycle = cycle_set.cycles[index]
-        for e in cycle.edge_ids:
-            edges[e] = edges.get(e, 0) + 1
-        for c in cycle.circle_ids:
-            circles[c] = circles.get(c, 0) + 1
-    return Coloring(edges=edges, circles=circles)
-
-
-def _vertex_exponent(space: _Space, vertex_id: int, state: Sequence[int], labels: Sequence[int], alt: bool) -> int:
-    left = [labels[pos] for pos, ci in enumerate(state) if vertex_id in space.left_at[ci]]
-    right = [labels[pos] for pos, ci in enumerate(state) if vertex_id in space.right_at[ci]]
-    lower = sum(1 for s in left for t in right if s > t)
-    if alt:
-        return len(left) * len(right) - 2 * lower
-    upper = sum(1 for s in left for t in right if s < t)
-    return upper - lower
-
-
-def vertex_weight_exponent(
+def _programme(
     d: PlanarDiagram,
-    vertex_id: int,
-    state: Sequence[int],
+    cycle_set: CycleSet | None,
     n: int,
-    *,
-    alt: bool = False,
-    cycle_set: CycleSet | None = None,
-) -> int:
-    """The v-exponent a single vertex contributes to a state's weight."""
-    space = _Space(d, cycle_set)
-    if vertex_id not in d.vertex_by_id:
-        raise DiagramError(f"no vertex with id {vertex_id}")
-    return _vertex_exponent(space, vertex_id, state, doubled_labels(n), alt)
+    target: Coloring | None = None,
+) -> dict[Coloring, QLaurent]:
+    """Evaluations of the colorings realized at level ``n``.
 
+    With a ``target``, only colorings that exceed it on no edge or circle
+    are kept.  Partial colorings are tuples: edge colors, then circle colors.
+    """
+    edge_ids = [e.id for e in d.edges]
+    circle_ids = [c.id for c in d.circles]
+    slot = {e: i for i, e in enumerate(edge_ids)}
+    circle_slot = {c: len(edge_ids) + i for i, c in enumerate(circle_ids)}
+    cap = None
+    if target is not None:
+        cap = [target.edge_value(e) for e in edge_ids] + [target.circle_value(c) for c in circle_ids]
 
-def state_exponent(
-    d: PlanarDiagram,
-    state: Sequence[int],
-    n: int,
-    *,
-    alt: bool = False,
-    cycle_set: CycleSet | None = None,
-) -> int:
-    """Total v-exponent of one state: rotation part plus vertex parts."""
-    space = _Space(d, cycle_set)
-    labels = doubled_labels(n)
-    return _state_exponent(space, state, labels, alt)
+    def at(vertex: int, role: str) -> int:
+        return slot[d.edge_at(Flag(vertex, role))[0].id]
 
-
-def _state_exponent(space: _Space, state: Sequence[int], labels: Sequence[int], alt: bool) -> int:
-    total = 2 * sum(labels[pos] * space.rots[ci] for pos, ci in enumerate(state))
-    for vertex_id in space.vertex_ids:
-        total += _vertex_exponent(space, vertex_id, state, labels, alt)
-    return total
+    moves = [
+        (
+            cycle.rot,
+            [slot[e] for e in cycle.edge_ids] + [circle_slot[c] for c in cycle.circle_ids],
+            [at(v, "l") for v in cycle.right_at],
+            [at(v, "r") for v in cycle.left_at],
+        )
+        for cycle in cycle_set or CycleSet(d)
+    ]
+    layer = {(0,) * (len(slot) + len(circle_slot)): {0: 1}}
+    for s in doubled_labels(n):
+        grown: dict[tuple[int, ...], dict[int, int]] = {}
+        for coloring, counts in layer.items():
+            for rot, held, plus, minus in moves:
+                if cap is not None and any(coloring[i] >= cap[i] for i in held):
+                    continue
+                shift = 2 * s * rot + sum(coloring[i] for i in plus) - sum(coloring[i] for i in minus)
+                key = list(coloring)
+                for i in held:
+                    key[i] += 1
+                bucket = grown.setdefault(tuple(key), {})
+                for exponent, count in counts.items():
+                    bucket[exponent + shift] = bucket.get(exponent + shift, 0) + count
+        layer = grown
+    return {
+        Coloring(zip(edge_ids, key), zip(circle_ids, key[len(edge_ids):])): QLaurent(counts)
+        for key, counts in layer.items()
+    }
 
 
 def eval_table(
     d: PlanarDiagram,
     n: int,
     *,
-    alt: bool = False,
     cycle_set: CycleSet | None = None,
 ) -> dict[Coloring, QLaurent]:
     """Evaluations of all colorings realized at level ``n``, by state sum."""
-    space = _Space(d, cycle_set)
-    labels = doubled_labels(n)
-    table: dict[Coloring, dict[int, int]] = {}
-    for state in itertools.product(range(len(space.cycles)), repeat=n):
-        coloring = state_flow(space.cycles, state)
-        exponent = _state_exponent(space, state, labels, alt)
-        bucket = table.setdefault(coloring, {})
-        bucket[exponent] = bucket.get(exponent, 0) + 1
-    return {coloring: QLaurent(counts) for coloring, counts in table.items()}
+    return _programme(d, cycle_set, n)
+
+
+def _require_flow(d: PlanarDiagram, coloring: Coloring) -> None:
+    violations = validate_coloring(d, coloring)
+    if violations:
+        where = ", ".join(
+            f"vertex {v.vertex} ({v.side_sum} != {v.middle})" for v in violations
+        )
+        raise DiagramError(f"coloring violates flow conservation at {where}")
 
 
 def moy_eval(
@@ -149,7 +127,6 @@ def moy_eval(
     coloring: Coloring,
     n: int,
     *,
-    alt: bool = False,
     cycle_set: CycleSet | None = None,
 ) -> QLaurent:
     """Evaluate one colored diagram at level ``n``.
@@ -158,21 +135,34 @@ def moy_eval(
     ``DiagramError``.  Conserved colorings that no state realizes (for
     instance colors larger than ``n``) evaluate to zero.
     """
-    violations = validate_coloring(d, coloring)
-    if violations:
-        where = ", ".join(
-            f"vertex {v.vertex} ({v.side_sum} != {v.middle})" for v in violations
-        )
-        raise DiagramError(f"coloring violates flow conservation at {where}")
-    space = _Space(d, cycle_set)
+    _require_flow(d, coloring)
+    return _programme(d, cycle_set, n, coloring).get(coloring, QLaurent.zero())
+
+
+def eval_table_alt(
+    d: PlanarDiagram,
+    n: int,
+    *,
+    cycle_set: CycleSet | None = None,
+) -> dict[Coloring, QLaurent]:
+    """The level-``n`` table by listing every state, with the vertex
+    exponent ``|l||r| - 2L``; the reference for ``eval_table``."""
+    cycles = (cycle_set or CycleSet(d)).cycles
     labels = doubled_labels(n)
-    counts: dict[int, int] = {}
-    for state in itertools.product(range(len(space.cycles)), repeat=n):
-        if state_flow(space.cycles, state) != coloring:
-            continue
-        exponent = _state_exponent(space, state, labels, alt)
-        counts[exponent] = counts.get(exponent, 0) + 1
-    return QLaurent(counts)
+    table: dict[Coloring, dict[int, int]] = {}
+    for state in itertools.product(cycles, repeat=n):
+        exponent = 2 * sum(s * cycle.rot for s, cycle in zip(labels, state))
+        for v in d.vertices:
+            left = [s for s, cycle in zip(labels, state) if v.id in cycle.left_at]
+            right = [t for t, cycle in zip(labels, state) if v.id in cycle.right_at]
+            exponent += len(left) * len(right) - 2 * sum(1 for s in left for t in right if s > t)
+        coloring = Coloring(
+            edges=Counter(e for cycle in state for e in cycle.edge_ids),
+            circles=Counter(c for cycle in state for c in cycle.circle_ids),
+        )
+        bucket = table.setdefault(coloring, {})
+        bucket[exponent] = bucket.get(exponent, 0) + 1
+    return {coloring: QLaurent(counts) for coloring, counts in table.items()}
 
 
 def moy_eval_alt(
@@ -182,8 +172,9 @@ def moy_eval_alt(
     *,
     cycle_set: CycleSet | None = None,
 ) -> QLaurent:
-    """Evaluate with the product-count vertex exponent ``|l||r| - 2L``."""
-    return moy_eval(d, coloring, n, alt=True, cycle_set=cycle_set)
+    """``moy_eval`` read from the reference ``eval_table_alt``."""
+    _require_flow(d, coloring)
+    return eval_table_alt(d, n, cycle_set=cycle_set).get(coloring, QLaurent.zero())
 
 
 def classical_eval(d: PlanarDiagram, coloring: Coloring, n: int, *, cycle_set: CycleSet | None = None) -> int:

@@ -6,20 +6,40 @@ from itertools import product
 import pytest
 
 from moyeval.cycles import CycleSet
-from moyeval.diagram import Coloring, DiagramError, builtin
+from moyeval.diagram import Coloring, DiagramError, PlanarDiagram, builtin, parse_diagram
 from moyeval.qexact import QLaurent, qbinom, qmultinom
 from moyeval.statesum import (
     classical_eval,
     doubled_labels,
     eval_table,
+    eval_table_alt,
     moy_eval,
     moy_eval_alt,
-    state_exponent,
-    state_flow,
-    vertex_weight_exponent,
 )
 
 FIXTURES = ("unknot", "theta", "tetrahedron")
+
+THETA_AND_CIRCLE = """{
+  "vertices": [{"id": 0, "kind": "split", "position": [0, -1]},
+               {"id": 1, "kind": "merge", "position": [0, 1]}],
+  "edges": [{"id": 0, "tail": [1, "m"], "head": [0, "m"], "waypoints": [[-2, 0]]},
+            {"id": 1, "tail": [0, "l"], "head": [1, "l"]},
+            {"id": 2, "tail": [0, "r"], "head": [1, "r"], "waypoints": [[1, 0]]}],
+  "circles": [{"id": 0, "center": [5, 0], "radius": 1, "orientation": "ccw"}]
+}"""
+
+TWO_THETAS = """{
+  "vertices": [{"id": 0, "kind": "split", "position": [0, -1]},
+               {"id": 1, "kind": "merge", "position": [0, 1]},
+               {"id": 2, "kind": "split", "position": [10, -1]},
+               {"id": 3, "kind": "merge", "position": [10, 1]}],
+  "edges": [{"id": 0, "tail": [1, "m"], "head": [0, "m"], "waypoints": [[-2, 0]]},
+            {"id": 1, "tail": [0, "l"], "head": [1, "l"]},
+            {"id": 2, "tail": [0, "r"], "head": [1, "r"], "waypoints": [[1, 0]]},
+            {"id": 3, "tail": [3, "m"], "head": [2, "m"], "waypoints": [[8, 0]]},
+            {"id": 4, "tail": [2, "l"], "head": [3, "l"]},
+            {"id": 5, "tail": [2, "r"], "head": [3, "r"], "waypoints": [[11, 0]]}]
+}"""
 
 
 def test_doubled_labels():
@@ -27,27 +47,6 @@ def test_doubled_labels():
     assert doubled_labels(2) == [-1, 1]
     assert doubled_labels(3) == [-2, 0, 2]
     assert doubled_labels(4) == [-3, -1, 1, 3]
-
-
-def test_state_flow_and_exponent_on_unknot():
-    d = builtin("unknot")
-    cs = CycleSet(d)
-    # a state sends each of the doubled labels to a cycle; here cycle 1 is
-    # the circle with rotation +1, so label -1 on it contributes v^(-2)
-    assert state_flow(cs, (1, 0)) == Coloring(circles={0: 1})
-    assert state_flow(cs, (1, 1)) == Coloring(circles={0: 2})
-    assert state_exponent(d, (1, 0), 2, cycle_set=cs) == -2
-    assert state_exponent(d, (0, 1), 2, cycle_set=cs) == 2
-    # summing the two states with one label on the circle gives [2]
-    assert moy_eval(d, Coloring(circles={0: 1}), 2) == qbinom(2, 1)
-
-
-def test_vertex_weight_examples():
-    d = builtin("theta")
-    cs = CycleSet(d)
-    # cycles in order: empty, edges {0,1}, edges {0,2}; pairing2[1][2] = 2
-    assert vertex_weight_exponent(d, 0, (2, 1), 2, cycle_set=cs) == -1
-    assert vertex_weight_exponent(d, 0, (1, 2), 2, cycle_set=cs) == 1
 
 
 def test_unknot_is_quantum_binomial():
@@ -69,6 +68,8 @@ def test_theta_is_a_product_of_binomials():
                 coloring = Coloring(edges={0: k1 + k2, 1: k1, 2: k2})
                 expected = qbinom(n, k1 + k2) * qbinom(k1 + k2, k1)
                 assert moy_eval(d, coloring, n, cycle_set=cs) == expected
+        # a conserved coloring with a color above n evaluates to zero
+        assert moy_eval(d, Coloring(edges={0: n + 1, 1: n + 1}), n, cycle_set=cs) == QLaurent.zero()
 
 
 def tetra_coloring(a, b, c):
@@ -84,6 +85,7 @@ def test_tetrahedron_is_a_quantum_multinomial():
                 continue
             assert moy_eval(d, tetra_coloring(a, b, c), n, cycle_set=cs) == \
                 qmultinom(n, (a, b, c))
+        assert moy_eval(d, tetra_coloring(0, n + 1, 0), n, cycle_set=cs) == QLaurent.zero()
 
 
 def test_empty_coloring_evaluates_to_one():
@@ -98,14 +100,41 @@ def test_flow_violation_is_rejected():
 
 
 def test_alternative_weights_agree():
+    # the label-by-label programme against the enumeration of every state,
+    # which also uses the other vertex-weight formula
     for name in FIXTURES:
         d = builtin(name)
-        for n in range(1, 3):
-            plain = eval_table(d, n)
-            alt = eval_table(d, n, alt=True)
-            assert plain == alt
-            for coloring, value in plain.items():
-                assert moy_eval_alt(d, coloring, n) == value
+        cs = CycleSet(d)
+        for n in range(6):
+            table = eval_table(d, n, cycle_set=cs)
+            assert table == eval_table_alt(d, n, cycle_set=cs), (name, n)
+            if n <= 2:
+                for coloring, value in table.items():
+                    assert moy_eval_alt(d, coloring, n, cycle_set=cs) == value
+
+
+def _product_table(t1, t2):
+    return {
+        Coloring(edges=c1.edges + c2.edges, circles=c1.circles + c2.circles): v1 * v2
+        for c1, v1 in t1.items()
+        for c2, v2 in t2.items()
+    }
+
+
+def test_disjoint_unions_match_the_reference_and_multiply():
+    theta_and_circle = parse_diagram(THETA_AND_CIRCLE)
+    two_thetas = parse_diagram(TWO_THETAS)
+    cases = (
+        (theta_and_circle, 4, PlanarDiagram(theta_and_circle.vertices, theta_and_circle.edges),
+         PlanarDiagram(circles=theta_and_circle.circles)),
+        (two_thetas, 3, PlanarDiagram(two_thetas.vertices[:2], two_thetas.edges[:3]),
+         PlanarDiagram(two_thetas.vertices[2:], two_thetas.edges[3:])),
+    )
+    for union, top, left, right in cases:
+        for n in range(top + 1):
+            table = eval_table(union, n)
+            assert table == eval_table_alt(union, n), n
+            assert table == _product_table(eval_table(left, n), eval_table(right, n)), n
 
 
 def test_eval_table_matches_pointwise_evaluation():
@@ -120,6 +149,11 @@ def test_eval_table_matches_pointwise_evaluation():
     assert set(table) == expected_keys
     for coloring, value in table.items():
         assert moy_eval(d, coloring, 2, cycle_set=cs) == value
+    # moy_eval prunes toward its target; it must still find every entry
+    d = builtin("tetrahedron")
+    cs = CycleSet(d)
+    for coloring, value in eval_table(d, 5, cycle_set=cs).items():
+        assert moy_eval(d, coloring, 5, cycle_set=cs) == value
 
 
 def test_values_are_symmetric_nonnegative_half_powers():
