@@ -10,7 +10,9 @@ one exists, else a circle, and the prefixes ``e``/``c`` pick explicitly
 (``e0=2,c1=1``).  Unmentioned ids are colored 0.
 
 All output is deterministic: tables are sorted by coloring, polynomials by
-descending exponent.
+descending exponent.  With ``--format json`` stdout carries exactly one
+JSON document; the lines of any requested check go to stderr instead, and
+the exit codes stay the same.
 """
 
 from __future__ import annotations
@@ -275,24 +277,29 @@ def _cmd_classical(args) -> int:
             print(f"{format_coloring(coloring)} -> {count}")
     if args.check:
         reference = {c: v.evaluate_one() for c, v in eval_table(d, args.n, cycle_set=cs).items()}
-        rc = _report_table_check(table, reference, "convolution count", "state count")
+        rc = _report_table_check(table, reference, "convolution count", "state count", _check_file(args))
     return rc
 
 
-def _report_table_check(table: dict, reference: dict, left: str, right: str) -> int:
+def _check_file(args):
+    """Where check lines go: stderr in JSON mode, so stdout stays one JSON document."""
+    return sys.stderr if args.format == "json" else None  # None: print's stdout
+
+
+def _report_table_check(table: dict, reference: dict, left: str, right: str, file=None) -> int:
     """Per-coloring PASS/FAIL comparison of two coloring-keyed tables."""
     failures = 0
     for coloring in sorted(set(table) | set(reference), key=Coloring.sort_key):
         a, b = table.get(coloring), reference.get(coloring)
         if a == b:
-            print(f"PASS {format_coloring(coloring)}")
+            print(f"PASS {format_coloring(coloring)}", file=file)
         else:
             failures += 1
-            print(f"FAIL {format_coloring(coloring)}: {left} {a!r} vs {right} {b!r}")
+            print(f"FAIL {format_coloring(coloring)}: {left} {a!r} vs {right} {b!r}", file=file)
     if failures:
-        print(f"{failures} coloring(s) disagree")
+        print(f"{failures} coloring(s) disagree", file=file)
         return 3
-    print(f"all {len(reference)} colorings agree")
+    print(f"all {len(reference)} colorings agree", file=file)
     return 0
 
 
@@ -313,17 +320,17 @@ def _cmd_series(args) -> int:
             print(f"{format_coloring(coloring)} -> {format_qlaurent(value)}")
     if args.check:
         reference = eval_table(d, args.n, cycle_set=ca.cycle_set)
-        rc = _report_table_check(table, reference, "twisted product", "state sum")
+        rc = _report_table_check(table, reference, "twisted product", "state sum", _check_file(args))
     return rc
 
 
-def _print_report(report: CheckReport, indent: int = 0) -> None:
+def _print_report(report: CheckReport, indent: int = 0, file=None) -> None:
     pad = "  " * indent
     status = "ok" if report.ok else "FAIL"
     detail = f" ({report.detail})" if report.detail else ""
-    print(f"{pad}{status}: {report.name}{detail}")
+    print(f"{pad}{status}: {report.name}{detail}", file=file)
     for sub in report.sub:
-        _print_report(sub, indent + 1)
+        _print_report(sub, indent + 1, file)
 
 
 def _cmd_homfly(args) -> int:
@@ -354,7 +361,7 @@ def _cmd_homfly(args) -> int:
     if args.specialize is not None:
         reports.append(specialization_check(hs, args.specialize))
     for report in reports:
-        _print_report(report)
+        _print_report(report, file=_check_file(args))
         if not report.all_ok():
             rc = 3
     return rc

@@ -11,6 +11,13 @@ differs from 1 only in v-exponents that grow with ``k``, so modulo
 happens in the cycle algebra truncated in two directions at once: total
 x-degree at most ``x_degree`` and v-exponent at most ``q_order``.
 
+Skew shifts never change x-degree, so the terms of x-degree above the bound
+form a two-sided ideal and dropping them is exact.  Products therefore split
+each factor into its homogeneous pieces by x-degree (``_graded``) and form
+only the pairs whose degrees sum to at most the bound, and ``series_invert``
+solves for the inverse one degree at a time from the same pieces instead of
+summing a Neumann series of full products.
+
 The HOMFLY series of the diagram is
 
     G = poch(a) * poch(a^{-1})^{-1}
@@ -41,7 +48,7 @@ from typing import NamedTuple, Sequence
 
 from .diagram import Coloring, DiagramError, PlanarDiagram, format_coloring
 from .qexact import QLaurent, TruncatedRSeries
-from .qtorus import CycleAlgebra, TorusElement
+from .qtorus import CycleAlgebra, TorusElement, torus_mul
 from .statesum import eval_table
 
 __all__ = [
@@ -131,10 +138,21 @@ class TruncatedTorusSeries:
         return self._wrap(self.element - other.element)
 
     def __mul__(self, other: "TruncatedTorusSeries") -> "TruncatedTorusSeries":
+        """The product, forming only the pairs whose x-degrees sum to at most the bound.
+
+        Piece ``D - k`` of ``self`` meets the terms of ``other`` of x-degree
+        at most ``k``; the module docstring says why this is exact.
+        """
         if not isinstance(other, TruncatedTorusSeries):
             return NotImplemented
         self._check_compatible(other)
-        return self._wrap(self.element * other.element)
+        left = _graded(self)
+        out = below = TorusElement.zero(self.element.signature)
+        for k, piece in enumerate(_graded(other)):
+            below = below + piece  # the terms of other of x-degree <= k
+            if left[self.x_degree - k]:
+                out = out + torus_mul(left[self.x_degree - k], below)
+        return self._wrap(out)
 
     def times_v(self, k: int) -> "TruncatedTorusSeries":
         return self._wrap(self.element.times_v(k))
@@ -173,6 +191,16 @@ class TruncatedTorusSeries:
             f"TruncatedTorusSeries(x_degree={self.x_degree}, q_order={self.q_order}, "
             f"{len(self.element.terms)} terms)"
         )
+
+
+def _graded(s: TruncatedTorusSeries) -> list[TorusElement]:
+    """The homogeneous pieces of ``s``: entry ``d`` holds its terms of x-degree ``d``."""
+    pieces: list[dict] = [{} for _ in range(s.x_degree + 1)]
+    for exps, coeff in s.element.terms.items():
+        if min(exps, default=0) < 0:
+            raise ValueError("series terms need nonnegative x-exponents")
+        pieces[sum(exps)][exps] = coeff
+    return [TorusElement(s.element.signature, piece) for piece in pieces]
 
 
 def _linear_factor(
@@ -227,21 +255,26 @@ def _poch_inf(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int)
 
 
 def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
-    """Invert a series with constant term 1, modulo both truncations."""
+    """Invert a series with constant term 1, modulo both truncations.
+
+    With ``P_j`` the x-degree-``j`` piece of ``s`` (so ``P_0 = 1``), the
+    inverse is built degree by degree: ``Q_0 = 1`` and
+    ``Q_d = -sum_{j=1..d} Q_{d-j} * P_j``, which forms the pairs of a
+    single capped product ``Q * s``.  So ``Q * s == 1`` holds exactly; the
+    v-truncation is no ring quotient (skew shifts can lower v-exponents),
+    so ``s * Q == 1`` is only promised below the bound by the skew margin
+    (see ``_skew_margin``).
+    """
     if s.constant_term() != TruncatedRSeries.one(s.q_order):
         raise ValueError("series is not invertible here: constant term must be exactly 1")
-    signature = s.element.signature
-    exps = (0,) * len(signature)
-    one = TruncatedTorusSeries(
-        s.x_degree,
-        s.q_order,
-        TorusElement.monomial(signature, exps, TruncatedRSeries.one(s.q_order)),
-    )
-    rest = one - s  # no constant term, so each power raises the x-degree
-    out = one
-    for _ in range(s.x_degree):
-        out = one + rest * out
-    return out
+    pieces = _graded(s)
+    inverse = pieces[:1]
+    for d in range(1, s.x_degree + 1):
+        total = TorusElement.zero(s.element.signature)
+        for j in range(1, d + 1):
+            total = total + torus_mul(inverse[d - j], pieces[j])
+        inverse.append(-total)
+    return s._wrap(sum(inverse[1:], inverse[0]))
 
 
 def _assemble(

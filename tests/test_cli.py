@@ -170,6 +170,28 @@ def test_series_check_agrees(capsys):
     assert code == 0 and "colorings agree" in out
 
 
+def test_json_output_with_checks_is_one_document(capsys):
+    # the check lines go to stderr, so stdout parses as JSON and nothing else
+    cases = (
+        (("classical", "theta", "--N", "2"), "all 6 colorings agree"),
+        (("series", "theta", "--N", "2"), "all 6 colorings agree"),
+        (("homfly", "unknot", "--max-x-degree", "2", "--q-order", "16",
+          "--check-shift", "--specialize", "2"), "ok: specialize"),
+    )
+    for argv, last in cases:
+        code, out, err = run(capsys, *argv, "--check", "--format", "json")
+        assert code == 0, argv
+        json.loads(out)
+        assert err.splitlines()[-1].startswith(last), argv
+        assert "PASS" not in out and "ok:" not in out
+    # a failing check keeps its exit code
+    code, out, err = run(capsys, "homfly", "unknot", "--max-x-degree", "2",
+                         "--q-order", "8", "--specialize", "2", "--format", "json")
+    assert code == 3
+    assert json.loads(out)["q_order"] == 8
+    assert "FAIL: specialize" in err
+
+
 # -- consistency suites -------------------------------------------------------
 
 

@@ -6,7 +6,8 @@ import random
 import pytest
 
 import moyeval.homfly
-from moyeval.diagram import Coloring, DiagramError, builtin
+import moyeval.qtorus
+from moyeval.diagram import Coloring, DiagramError, builtin, parse_diagram
 from moyeval.homfly import (
     TruncatedTorusSeries,
     check_fphi,
@@ -19,6 +20,7 @@ from moyeval.homfly import (
 from moyeval.qexact import QLaurent, TruncatedRSeries, qbinom
 from moyeval.qtorus import CycleAlgebra, TorusElement
 from moyeval.statesum import eval_table
+from test_statesum import TWO_THETAS
 
 
 def unknot_algebra():
@@ -32,6 +34,38 @@ def tts(ca, x_degree, q_order, coeffs):
         element = element + TorusElement.monomial(
             ca.signature, exps, TruncatedRSeries(q_order, terms))
     return TruncatedTorusSeries(x_degree, q_order, element)
+
+
+def random_series(rng, ca, x_degree, q_order, count, v_low=0, unit=False):
+    """``count`` random terms of x-degree <= ``x_degree``, constant term 1 if ``unit``."""
+    k = len(ca.signature)
+    coeffs = {}
+    for _ in range(count):
+        exps = [0] * k
+        for _ in range(rng.randrange(1 if unit else 0, x_degree + 1)):
+            exps[rng.randrange(k)] += 1
+        for _ in range(2):
+            key = (rng.randrange(v_low, q_order + 1), rng.randrange(-2, 3))
+            coeffs.setdefault(tuple(exps), {})[key] = rng.randrange(-3, 4)
+    if unit:
+        coeffs[(0,) * k] = {(0, 0): 1}
+    return tts(ca, x_degree, q_order, coeffs)
+
+
+def uncapped_product(a, b):
+    """Reference product: every pair of the torus product, then drop x-degree > D."""
+    return TruncatedTorusSeries(a.x_degree, a.q_order, a.element * b.element)
+
+
+def neumann_invert(s):
+    """Reference inverse: ``sum_k (1 - s)**k`` by ``x_degree`` uncapped products."""
+    signature = s.element.signature
+    one = TruncatedTorusSeries(s.x_degree, s.q_order, TorusElement.monomial(
+        signature, (0,) * len(signature), TruncatedRSeries.one(s.q_order)))
+    rest, out = one - s, one
+    for _ in range(s.x_degree):
+        out = one + uncapped_product(rest, out)
+    return out
 
 
 # -- the truncated series ring ------------------------------------------------
@@ -63,6 +97,9 @@ def test_series_arithmetic_and_bound_mismatches():
         one * TruncatedTorusSeries.one(ca, 2, 12)
     with pytest.raises(ValueError, match="cannot raise a truncation bound"):
         one.retruncate(12)
+    # the graded product files terms by x-degree, which needs exponents >= 0
+    with pytest.raises(ValueError, match="nonnegative x-exponents"):
+        tts(ca, 2, 8, {(-1,): {(0, 0): 1}}) * one
 
 
 def test_series_invert_geometric():
@@ -75,7 +112,35 @@ def test_series_invert_geometric():
     assert inv * s == TruncatedTorusSeries.one(ca, 3, 8)
 
 
+def test_graded_product_equals_the_uncapped_product():
+    ca = CycleAlgebra(parse_diagram(TWO_THETAS))  # 8 variables, skewed in pairs
+    rng = random.Random(5309)
+    for x_degree in (2, 3, 4):
+        for _ in range(4):
+            a = random_series(rng, ca, x_degree, 8, 12, v_low=-4)
+            b = random_series(rng, ca, x_degree, 8, 12, v_low=-4)
+            assert a * b == uncapped_product(a, b)
+            assert b * a == uncapped_product(b, a)
+
+
+def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
+    theta = builtin("theta")
+    signature = CycleAlgebra(theta).signature
+    degree_sums = []
+    original = moyeval.qtorus._mul_exps
+
+    def recording(sig, ea, eb):
+        if sig == signature:  # not the flag side of mu
+            degree_sums.append(sum(ea) + sum(eb))
+        return original(sig, ea, eb)
+
+    monkeypatch.setattr(moyeval.qtorus, "_mul_exps", recording)
+    assert check_fphi(homfly_series(theta, 3, 8)).ok
+    assert degree_sums and max(degree_sums) == 3
+
+
 def test_series_invert_random_units():
+    # theta at x-degree 2: the inverse is two-sided at the bound itself
     ca = CycleAlgebra(builtin("theta"))
     rng = random.Random(4207)
     one = TruncatedTorusSeries.one(ca, 2, 6)
@@ -90,6 +155,20 @@ def test_series_invert_random_units():
         s = tts(ca, 2, 6, coeffs)
         inv = series_invert(s)
         assert s * inv == one and inv * s == one
+    # Higher degrees on two thetas: skew shifts can lower v-exponents, so
+    # v-truncation is no ring quotient and each order of the identity can
+    # break near the bound.  With the skew margin above the target both
+    # orders hold there, and the recursion is an exact left inverse.
+    ca = CycleAlgebra(parse_diagram(TWO_THETAS))
+    for x_degree in (3, 4):
+        work = 6 + moyeval.homfly._skew_margin(ca, x_degree)
+        one = TruncatedTorusSeries.one(ca, x_degree, 6)
+        for _ in range(8):
+            s = random_series(rng, ca, x_degree, work, 6, unit=True)
+            inv = series_invert(s)
+            assert inv * s == TruncatedTorusSeries.one(ca, x_degree, work)
+            assert (s * inv).retruncate(6) == one and (inv * s).retruncate(6) == one
+            assert inv.retruncate(6) == neumann_invert(s).retruncate(6)
 
 
 def test_series_invert_requires_unit_constant_term():
@@ -144,6 +223,36 @@ def test_truncation_bounds_are_coherent():
     assert set(loose.table) == set(tight.table)
     for coloring, value in tight.table.items():
         assert loose.table[coloring].retruncate(8) == value
+
+
+def test_series_matches_the_uncapped_reference_pipeline(monkeypatch):
+    cases = [("unknot", x, 12) for x in range(5)] + [("theta", x, 8) for x in range(5)]
+    for name, x_degree, q_order in cases:
+        hs = homfly_series(builtin(name), x_degree, q_order)
+        with monkeypatch.context() as m:
+            m.setattr(TruncatedTorusSeries, "__mul__", uncapped_product)
+            m.setattr(moyeval.homfly, "series_invert", neumann_invert)
+            reference = homfly_series(builtin(name), x_degree, q_order)
+        assert hs.table == reference.table, (name, x_degree)
+        assert hs.series == reference.series, (name, x_degree)
+
+
+def test_more_skew_margin_changes_nothing(monkeypatch):
+    # twelve more units of headroom change no stored or checked value
+    original = moyeval.homfly._skew_margin
+    for name in ("unknot", "theta"):
+        for x_degree in (2, 3, 4):
+            results = []
+            for extra in (0, 12):
+                with monkeypatch.context() as m:
+                    m.setattr(moyeval.homfly, "_skew_margin",
+                              lambda ca, x, extra=extra: original(ca, x) + extra)
+                    hs = homfly_series(builtin(name), x_degree, 8)
+                    fphi, shift = check_fphi(hs), check_shift(hs)
+                results.append((hs.table, hs.series, fphi, shift.all_ok(),
+                                [(r.name, r.ok) for r in shift.sub]))
+            assert results[0] == results[1], (name, x_degree)
+            assert results[0][2].ok and results[0][3]
 
 
 def test_defining_equation_residual_vanishes():
