@@ -35,10 +35,13 @@ and the ``a -> q**2 a`` shift identity on the truncated data.
 ``check_shift`` needs a larger internal bound than the kept ones carry,
 and a truncation bound can only be lowered, so it assembles its own.
 
-Truncation caveats are handled explicitly: products of series whose
-coefficients carry negative v-exponents, and the ``shift_a`` substitution,
-can move discarded terms back below the bound, so the shift identity is
-checked at an enlarged internal bound and only then re-truncated.
+Truncation by v-exponent is no ring quotient: skew shifts can lower
+v-exponents, so a dropped term could reach back below the bound.  Every
+product therefore runs at an internal bound ``Q + M``, with the headroom
+``M`` proven from a grading of the cycle algebra by the skew, and is
+re-truncated at the target ``Q`` only at the end.  ``_headroom`` holds the
+argument; ``check_shift``, whose ``shift_a`` substitution also lowers
+v-exponents, gets its own headroom from the same argument.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import NamedTuple, Sequence
 
 from .diagram import Coloring, DiagramError, PlanarDiagram, format_coloring
 from .qexact import QLaurent, TruncatedRSeries
-from .qtorus import CycleAlgebra, TorusElement, torus_mul
+from .qtorus import CycleAlgebra, TorusElement, _mul_exps, torus_mul
 from .statesum import eval_table
 
 __all__ = [
@@ -219,19 +222,73 @@ def _linear_factor(
     return TruncatedTorusSeries(x_degree, q_order, TorusElement(ca.signature, terms))
 
 
-def _skew_margin(ca: CycleAlgebra, x_degree: int) -> int:
-    """Extra v-headroom needed against normal-ordering downshifts.
+def _headroom(ca: CycleAlgebra, x_degree: int) -> tuple[int, int]:
+    """Proven v-headroom: ``M`` for ``homfly_series`` and ``M_shift`` for ``check_shift``.
 
-    Coefficient truncation by v-exponent is only a quotient when every
-    multiplication can raise v-exponents; the skew shifts of the cycle (and
-    flag) algebra can lower them.  Assembling a monomial of x-degree at
-    most ``x_degree`` from linear pieces applies at most ``d(d-1)/2`` pair
-    shifts of at most the largest skew entry each, on the cycle and flag
-    sides combined, so twice that bound (plus slack) guarantees that no
-    term contributing below the target bound is ever dropped early.
+    Grading.  With ``c`` the cycle skew, let
+    ``lam(alpha) = sum_{i>l} alpha_i alpha_l max(0, -c(i,l))`` and give the
+    term ``v**e x**alpha`` the degree ``deg = e + lam(alpha) >= e``.  The
+    shift ``sig(alpha, beta) = sum_{i>l} alpha_i beta_l c(i,l)`` of
+    ``torus_mul`` satisfies
+
+        lam(alpha + beta) - lam(alpha) - lam(beta) + sig(alpha, beta)
+            = sum_{i>l} (alpha_i beta_l max(0, c(i,l))
+                         + beta_i alpha_l max(0, -c(i,l)))  >=  0,
+
+    so a product term has at least the degree sum of the two terms that
+    formed it.  A term the arithmetic drops at bound ``W`` has ``deg > W``:
+    either its ``e`` exceeds ``W``, or it is a coefficient product with
+    ``e1 + e2 > W`` dropped before its shift, of degree ``>= e1 + e2``.
+
+    Exactness.  For ``h >= 0`` call an element ``h``-exact when all its
+    terms, true and computed, have ``deg >= -h``, and the computed terms
+    equal the true ones wherever ``deg <= W - h``.  Then a product of an
+    ``h``- and a ``k``-exact element is ``(h + k)``-exact, a sum is exact
+    with the larger ``h``, and ``series_invert`` of a 0-exact unit is
+    0-exact (induction on ``d`` in ``Q_d``).  An ``e_v = 2`` linear factor
+    is 0-exact (its non-constant terms have ``deg = 2 + 4k``), and
+    ``_poch_inf`` omits only factors whose non-constant terms have
+    ``e > W``; so ``poch(a)``, ``poch(a^{-1})`` and ``G`` are 0-exact.
+
+    ``M``: ``.series`` and ``check_fphi`` read terms with ``e <= Q`` of
+    0-exact elements, so of ``deg <= Q + lam(alpha)``; the flow table reads
+    the terms of ``G`` with ``e + phi(alpha) <= Q``, where ``phi(alpha)``
+    is the v-shift ``CycleAlgebra.mu`` adds to ``x**alpha``.  So
+    ``M = max_{|alpha| <= D} (lam(alpha) + max(0, -phi(alpha)))``.
+
+    ``M_shift``: with ``R`` the largest rotation, the ``e_v = -2`` factors
+    of ``check_shift`` have terms of ``deg >= -2R``, so all it compares is
+    ``2R``-exact, and ``shift_a(2)`` lowers ``e`` by at most ``4R |alpha|``
+    (b-exponents are at least ``-2R |alpha|``).  So
+    ``M_shift = max_{|alpha| <= D} (lam(alpha) + 4R |alpha|) + 2R``.
+
+    Both maxima come from one walk over the monomials as ascending index
+    lists, the order in which ``mu`` multiplies.  Appending index ``t``
+    raises ``lam`` by ``sum_l alpha_l max(0, -c(t,l))`` and ``phi`` by the
+    flag-side shift of ``mu(x**alpha)`` against ``mu(x_t)``; both are kept
+    for every ``t`` in running vectors, so a step costs O(K).
     """
-    s_max = max((abs(e) for row in ca.signature.skew for e in row), default=0)
-    return 2 * s_max * x_degree * max(0, x_degree - 1) + 4
+    k = len(ca.signature)
+    skew = ca.signature.skew
+    flag_sig = ca.flag_algebra.signature
+    images = [ca.flag_algebra.cycle_exponents(c) for c in ca.variables]
+    # row l: what an x_l already in the monomial adds when x_t joins, per t
+    lam_rows = [[max(0, -skew[t][l]) for t in range(k)] for l in range(k)]
+    phi_rows = [[_mul_exps(flag_sig, images[l], images[t])[0] for t in range(k)] for l in range(k)]
+    r_max = max((abs(r) for r in ca.rots), default=0)
+    best = [0, 0]
+
+    def walk(first: int, size: int, lam: int, phi: int, lam_step: list, phi_step: list) -> None:
+        best[0] = max(best[0], lam + max(0, -phi))
+        best[1] = max(best[1], lam + 4 * r_max * size)
+        if size < x_degree:
+            for t in range(first, k):
+                walk(t, size + 1, lam + lam_step[t], phi + phi_step[t],
+                     [a + b for a, b in zip(lam_step, lam_rows[t])],
+                     [a + b for a, b in zip(phi_step, phi_rows[t])])
+
+    walk(0, 0, 0, 0, [0] * k, [0] * k)
+    return best[0], best[1] + 2 * r_max
 
 
 def _poch_inf(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int) -> TruncatedTorusSeries:
@@ -239,8 +296,9 @@ def _poch_inf(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int)
 
     Requires a positive diagram: with every rotation +1 the twist-k factor
     is congruent to 1 once ``e_v + 4k`` exceeds the bound, so the product
-    stops at ``k = (q_order - e_v) // 4``.  The result is raw: callers who
-    need exactness at the bound must build in margin (see ``_skew_margin``).
+    stops at ``k = (q_order - e_v) // 4``.  The result is exact only up to
+    the grading of ``_headroom``: callers read it at a target bound below
+    ``q_order`` by a headroom proven there.
     """
     if not ca.cycle_set.is_positive:
         raise DiagramError(
@@ -260,10 +318,12 @@ def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
     With ``P_j`` the x-degree-``j`` piece of ``s`` (so ``P_0 = 1``), the
     inverse is built degree by degree: ``Q_0 = 1`` and
     ``Q_d = -sum_{j=1..d} Q_{d-j} * P_j``, which forms the pairs of a
-    single capped product ``Q * s``.  So ``Q * s == 1`` holds exactly; the
-    v-truncation is no ring quotient (skew shifts can lower v-exponents),
-    so ``s * Q == 1`` is only promised below the bound by the skew margin
-    (see ``_skew_margin``).
+    single capped product ``Q * s``.  So ``Q * s == 1`` holds exactly at
+    the bound.  The v-truncation is no ring quotient (skew shifts can lower
+    v-exponents), so ``s * Q == 1`` is promised only in the grading of
+    ``_headroom``: when every term of ``s`` has ``deg >= 0``, both orders
+    hold at every term of ``deg`` at most the bound, hence at v-exponents
+    up to the bound minus ``max lam`` over x-degree at most ``x_degree``.
     """
     if s.constant_term() != TruncatedRSeries.one(s.q_order):
         raise ValueError("series is not invertible here: constant term must be exactly 1")
@@ -314,11 +374,13 @@ def homfly_series(d: PlanarDiagram, x_degree: int, q_order: int) -> HomflySeries
     """Compute the truncated HOMFLY series and its flow table.
 
     The whole pipeline (products, inversion, the flag substitution) runs at
-    an internally enlarged v-bound and is re-truncated at the end, so every
-    stored table term is the true series coefficient.
+    the internal bound ``q_order + M``, with ``M`` the headroom proven in
+    ``_headroom``, and is re-truncated at the end, so every stored table
+    term is the true series coefficient.
     """
     ca = CycleAlgebra(d)
-    poch_a, poch_ainv, series_work = _assemble(ca, x_degree, q_order + _skew_margin(ca, x_degree))
+    margin, _ = _headroom(ca, x_degree)
+    poch_a, poch_ainv, series_work = _assemble(ca, x_degree, q_order + margin)
     table: dict[Coloring, TruncatedRSeries] = {}
     for exps, coeff in ca.mu(series_work.element).terms.items():
         tight = coeff.retruncate(q_order)
@@ -350,32 +412,36 @@ def check_fphi(hs: HomflySeries) -> CheckReport:
 
     The residual is formed from the products ``hs`` keeps at its work
     bound and compared after truncating back, so the comparison is between
-    true coefficients.
+    true coefficients (see ``_headroom``).
     """
-    bound = hs.q_order
-    residual = (hs.series_work * hs.poch_ainv).retruncate(bound) - hs.poch_a.retruncate(bound)
+    bound, work = hs.q_order, hs.poch_a.q_order
+    lhs = (hs.series_work * hs.poch_ainv).retruncate(bound)
+    rhs = hs.poch_a.retruncate(bound)
+    residual = lhs - rhs
+    compared = len(lhs.element.terms.keys() | rhs.element.terms.keys())
     ok = not residual
     if ok:
         detail = f"residual vanishes at x-degree <= {hs.x_degree}, v-exponent <= {bound}"
     else:
         detail = f"residual has {len(residual.element.terms)} monomials"
+    detail += (f"; {compared} monomials compared at internal bound {work} "
+               f"(headroom {work - bound} over {bound})")
     return CheckReport("defining-equation", ok, detail)
 
 
 def check_shift(hs: HomflySeries) -> CheckReport:
     """Verify the ``a -> q**2 a`` shift identity on the truncated series.
 
-    Everything is recomputed at an enlarged internal bound: the shift moves
-    v-exponents by twice the b-exponent (down to ``-4 * x_degree * R`` for
-    maximal rotation ``R``), and the two single linear factors involved
-    carry negative v-slopes, so comparisons at the target bound are only
-    meaningful with that much headroom.  The two auxiliary identities peel
-    one linear factor off an infinite product after re-indexing its twists.
+    Everything is recomputed at the internal bound ``q_order + M_shift``:
+    the shift lowers v-exponents by up to twice the largest negative
+    b-exponent, and the two single linear factors involved carry negative
+    v-slopes; ``_headroom`` proves that this headroom makes every compared
+    term exact.  The two auxiliary identities peel one linear factor off
+    an infinite product after re-indexing its twists.
     """
     ca = hs.cycle_algebra
     deg, bound = hs.x_degree, hs.q_order
-    r_max = max((abs(r) for r in ca.rots), default=0)
-    margin = 4 * deg * r_max + 2 * r_max + _skew_margin(ca, deg)
+    _, margin = _headroom(ca, deg)
     work = bound + margin
 
     poch_a, poch_ainv, series = _assemble(ca, deg, work)

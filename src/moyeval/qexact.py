@@ -248,10 +248,11 @@ class TruncatedRSeries:
     an error: a sum or product of two truncations is only meaningful at a
     common bound.
 
-    Note that truncation by v-exponent is not stable under ``shift_a`` with
-    a negative b-direction: a term dropped here could shift back below the
-    bound.  Callers that need such shifts must work at an enlarged bound and
-    ``retruncate`` afterwards.
+    Truncation by v-exponent is stable under products of these series, but
+    not under ``shift_a`` with a negative b-direction, nor under the skew
+    shifts of a quantum torus over them: a term dropped here could move back
+    below the bound.  Callers work at an enlarged bound and ``retruncate``
+    afterwards; ``moyeval.homfly._headroom`` proves how much is enough.
     """
 
     __slots__ = ("q_order", "terms")

@@ -1,6 +1,8 @@
 """Truncated HOMFLY generating series and its consistency checks."""
 
 import dataclasses
+import itertools
+import json
 import random
 
 import pytest
@@ -18,7 +20,7 @@ from moyeval.homfly import (
     specialize_to_N,
 )
 from moyeval.qexact import QLaurent, TruncatedRSeries, qbinom
-from moyeval.qtorus import CycleAlgebra, TorusElement
+from moyeval.qtorus import CycleAlgebra, TorusElement, TorusSignature
 from moyeval.statesum import eval_table
 from test_statesum import TWO_THETAS
 
@@ -157,11 +159,11 @@ def test_series_invert_random_units():
         assert s * inv == one and inv * s == one
     # Higher degrees on two thetas: skew shifts can lower v-exponents, so
     # v-truncation is no ring quotient and each order of the identity can
-    # break near the bound.  With the skew margin above the target both
+    # break near the bound.  With the proven headroom above the target both
     # orders hold there, and the recursion is an exact left inverse.
     ca = CycleAlgebra(parse_diagram(TWO_THETAS))
     for x_degree in (3, 4):
-        work = 6 + moyeval.homfly._skew_margin(ca, x_degree)
+        work = 6 + moyeval.homfly._headroom(ca, x_degree)[0]
         one = TruncatedTorusSeries.one(ca, x_degree, 6)
         for _ in range(8):
             s = random_series(rng, ca, x_degree, work, 6, unit=True)
@@ -238,21 +240,91 @@ def test_series_matches_the_uncapped_reference_pipeline(monkeypatch):
 
 
 def test_more_skew_margin_changes_nothing(monkeypatch):
-    # twelve more units of headroom change no stored or checked value
-    original = moyeval.homfly._skew_margin
-    for name in ("unknot", "theta"):
-        for x_degree in (2, 3, 4):
-            results = []
-            for extra in (0, 12):
-                with monkeypatch.context() as m:
-                    m.setattr(moyeval.homfly, "_skew_margin",
-                              lambda ca, x, extra=extra: original(ca, x) + extra)
-                    hs = homfly_series(builtin(name), x_degree, 8)
-                    fphi, shift = check_fphi(hs), check_shift(hs)
-                results.append((hs.table, hs.series, fphi, shift.all_ok(),
-                                [(r.name, r.ok) for r in shift.sub]))
-            assert results[0] == results[1], (name, x_degree)
-            assert results[0][2].ok and results[0][3]
+    # twelve more units of both headrooms change no stored or checked value
+    original = moyeval.homfly._headroom
+    cases = [(builtin(name), x, 8) for name in ("unknot", "theta") for x in (2, 3, 4)]
+    cases += [(builtin("theta"), 5, 8), (parse_diagram(TWO_THETAS), 2, 8),
+              (parse_diagram(TWO_THETAS), 3, 8)]
+    for d, x_degree, q_order in cases:
+        results = []
+        for extra in (0, 12):
+            with monkeypatch.context() as m:
+                m.setattr(moyeval.homfly, "_headroom",
+                          lambda ca, x, extra=extra: tuple(h + extra for h in original(ca, x)))
+                hs = homfly_series(d, x_degree, q_order)
+                fphi, shift = check_fphi(hs).ok, check_shift(hs)
+            results.append((hs.table, hs.series, fphi, shift.all_ok(),
+                            [(r.name, r.ok) for r in shift.sub]))
+        assert results[0] == results[1], (d, x_degree)
+        assert results[0][2] and results[0][3]
+
+
+def test_less_headroom_changes_the_series(monkeypatch):
+    # four units below the proven headroom, a stored or checked value breaks
+    original = moyeval.homfly._headroom
+    cases = ((builtin("theta"), 4, 20), (builtin("theta"), 5, 36),
+             (parse_diagram(TWO_THETAS), 3, 12))
+    for d, x_degree, q_order in cases:
+        hs = homfly_series(d, x_degree, q_order)
+        assert check_fphi(hs).ok
+        with monkeypatch.context() as m:
+            m.setattr(moyeval.homfly, "_headroom",
+                      lambda ca, x: (original(ca, x)[0] - 4, original(ca, x)[1]))
+            mutant = homfly_series(d, x_degree, q_order)
+            mutant_ok = check_fphi(mutant).ok
+        assert mutant.series_work.q_order == hs.series_work.q_order - 4
+        assert mutant.series != hs.series or not mutant_ok, (d, x_degree)
+
+
+def _lam(skew, alpha):
+    return sum(alpha[i] * alpha[l] * max(0, -skew[i][l])
+               for i in range(len(alpha)) for l in range(i))
+
+
+def _monomials(k, degree):
+    """Every exponent tuple in ``k`` variables of total degree at most ``degree``."""
+    return [tuple(indices.count(i) for i in range(k))
+            for d in range(degree + 1)
+            for indices in itertools.combinations_with_replacement(range(k), d)]
+
+
+def test_the_skew_grading_is_super_additive():
+    # lam(a+b) - lam(a) - lam(b) + sig(a, b) >= 0, with sig the shift torus_mul applies
+    for d in (builtin("theta"), parse_diagram(TWO_THETAS), builtin("tetrahedron")):
+        signature = CycleAlgebra(d).signature
+        monomials = _monomials(len(signature), 3)
+        assert any(e < 0 for row in signature.skew for e in row)
+        lam = {m: _lam(signature.skew, m) for m in _monomials(len(signature), 6)}
+        for a in monomials:
+            for b in monomials:
+                shift, total = moyeval.qtorus._mul_exps(signature, a, b)
+                assert lam[total] - lam[a] - lam[b] + shift >= 0, (a, b)
+
+
+def test_headroom_is_the_maximum_over_monomials():
+    three_circles = parse_diagram(json.dumps({"circles": [
+        {"id": i, "center": [4 * i, 0], "radius": 1, "orientation": "ccw"}
+        for i in range(3)]}))
+    # with the cycle skew zeroed, lam vanishes and only the flag side counts
+    flat = CycleAlgebra(parse_diagram(TWO_THETAS))
+    k = len(flat.signature)
+    flat.signature = TorusSignature(flat.signature.names, [[0] * k] * k)
+    pinned = ((CycleAlgebra(builtin("theta")), 5, 24),
+              (CycleAlgebra(parse_diagram(TWO_THETAS)), 3, 16),
+              (CycleAlgebra(three_circles), 4, 0), (CycleAlgebra(builtin("unknot")), 3, 0),
+              (flat, 3, 4))
+    for ca, x_degree, margin in pinned:
+        r_max = max(ca.rots)
+        # brute force: lam by its formula, phi read off the image mu gives
+        series = shift = 0
+        for alpha in _monomials(len(ca.signature), x_degree):
+            image = ca.mu(TorusElement.monomial(ca.signature, alpha, QLaurent.one()))
+            (phi,) = next(iter(image.terms.values())).terms
+            lam = _lam(ca.signature.skew, alpha)
+            series = max(series, lam + max(0, -phi))
+            shift = max(shift, lam + 4 * r_max * sum(alpha))
+        assert moyeval.homfly._headroom(ca, x_degree) == (series, shift + 2 * r_max)
+        assert series == margin
 
 
 def test_defining_equation_residual_vanishes():
@@ -261,6 +333,9 @@ def test_defining_equation_residual_vanishes():
         assert report.name == "defining-equation"
         assert report.ok, report.detail
         assert f"x-degree <= {x_degree}" in report.detail
+        work = homfly_series(builtin(name), x_degree, 8).poch_a.q_order
+        assert f"monomials compared at internal bound {work} (headroom {work - 8} over 8)" \
+            in report.detail
 
 
 def test_defining_equation_checks_the_kept_series():
