@@ -21,6 +21,7 @@ which is kept in doubled (integer) form throughout.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .diagram import Coloring, DiagramError, PlanarDiagram, Point
@@ -208,10 +209,15 @@ class CycleSet:
         self.diagram = d
         self.cycles = tuple(all_cycles(d))
         self.index = {cycle: i for i, cycle in enumerate(self.cycles)}
-        n = len(self.cycles)
-        self.pairing2 = [
-            [pairing_doubled(self.cycles[i], self.cycles[j]) for j in range(n)] for i in range(n)
-        ]
+
+    @cached_property
+    def pairing2(self) -> list[list[int]]:
+        """The doubled pairing matrix ``pairing2[i][j] = 2 <C_i, C_j>``.
+
+        Built on first read: the state sum never reads it, and it costs
+        K**2 pairings for K cycles.
+        """
+        return [[pairing_doubled(c1, c2) for c2 in self.cycles] for c1 in self.cycles]
 
     def __len__(self) -> int:
         return len(self.cycles)

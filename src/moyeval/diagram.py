@@ -21,9 +21,10 @@ Loops and multiple edges are allowed as long as the drawing is valid.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "DiagramError",

@@ -51,7 +51,7 @@ from typing import NamedTuple, Sequence
 
 from .diagram import Coloring, DiagramError, PlanarDiagram, format_coloring
 from .qexact import QLaurent, TruncatedRSeries
-from .qtorus import CycleAlgebra, TorusElement, _mul_exps, torus_mul
+from .qtorus import CycleAlgebra, TorusElement, torus_mul
 from .statesum import eval_table
 
 __all__ = [
@@ -157,9 +157,6 @@ class TruncatedTorusSeries:
                 out = out + torus_mul(left[self.x_degree - k], below)
         return self._wrap(out)
 
-    def times_v(self, k: int) -> "TruncatedTorusSeries":
-        return self._wrap(self.element.times_v(k))
-
     def shift_a(self, delta: int) -> "TruncatedTorusSeries":
         """Apply ``a -> q**delta * a`` to every coefficient.
 
@@ -263,18 +260,17 @@ def _headroom(ca: CycleAlgebra, x_degree: int) -> tuple[int, int]:
     ``M_shift = max_{|alpha| <= D} (lam(alpha) + 4R |alpha|) + 2R``.
 
     Both maxima come from one walk over the monomials as ascending index
-    lists, the order in which ``mu`` multiplies.  Appending index ``t``
-    raises ``lam`` by ``sum_l alpha_l max(0, -c(t,l))`` and ``phi`` by the
-    flag-side shift of ``mu(x**alpha)`` against ``mu(x_t)``; both are kept
-    for every ``t`` in running vectors, so a step costs O(K).
+    lists, the order in which ``mu`` multiplies the images.  Appending index
+    ``t`` raises ``lam`` by ``sum_l alpha_l max(0, -c(t,l))`` and ``phi`` by
+    ``sum_l alpha_l P[l][t]``, with ``P`` the table of image shifts
+    ``CycleAlgebra.image_shifts`` that ``mu`` reads; both increments are
+    kept for every ``t`` in running vectors, so a step costs O(K).
     """
     k = len(ca.signature)
     skew = ca.signature.skew
-    flag_sig = ca.flag_algebra.signature
-    images = [ca.flag_algebra.cycle_exponents(c) for c in ca.variables]
     # row l: what an x_l already in the monomial adds when x_t joins, per t
     lam_rows = [[max(0, -skew[t][l]) for t in range(k)] for l in range(k)]
-    phi_rows = [[_mul_exps(flag_sig, images[l], images[t])[0] for t in range(k)] for l in range(k)]
+    phi_rows = ca.image_shifts
     r_max = max((abs(r) for r in ca.rots), default=0)
     best = [0, 0]
 

@@ -7,7 +7,9 @@ by the normal-ordering rule
     u^alpha * u^beta = v^(sum_{i>j} alpha_i beta_j c(i,j)) u^(alpha+beta),
 
 i.e. exponents always end up sorted by variable index, at the price of a
-power of ``v``.
+power of ``v``.  The signature lists the nonzero entries ``c(i, j)``, ``j < i``,
+of each row once (``TorusSignature.lower``), and ``_mul_exps`` reads only
+those: the flag skew has two of them per vertex.
 
 Coefficients are values of one exact ring from :mod:`moyeval.qexact` per
 element, never mixed.  ``torus_mul`` needs ``+``, ``*``, ``times_v`` and
@@ -31,12 +33,24 @@ The algebra map ``mu`` sends a cycle variable to the product of the
 flag variables it runs through (both ``z`` and ``Z`` of every halfedge,
 and the pair for every circle).  It is a ring homomorphism; the skew
 factors picked up on the flag side are exactly the vertex weights of the
-state sum.  Since the image of a cycle monomial is a single flag monomial,
-``mu`` works on exponent tuples and shifts each coefficient once.
+state sum.  The image of a cycle monomial ``x**alpha`` is the single flag
+monomial ``sum_t alpha_t f_t``, with ``f_t`` the exponents of ``mu(x_t)``,
+times ``v**phi(alpha)``, where the shift is the quadratic form
+
+    phi(alpha) = sum_{l<t} alpha_l alpha_t P[l][t] + sum_t C(alpha_t, 2) P[t][t]
+
+in the K x K table ``P[l][t]`` of normal-ordering shifts of ``f_l``
+against ``f_t`` (``CycleAlgebra.image_shifts``, built on first use).  On a
+diagram the diagonal ``P[t][t]`` is 0, since a cycle holds at most one of
+``l`` and ``r`` at each vertex, but the form holds for any flag skew.  So
+``mu`` works on exponent tuples, reads the table once per pair of
+variables a monomial holds, and shifts each coefficient once.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import add
 from typing import Mapping, Sequence
 
 from .cycles import Cycle, CycleSet
@@ -55,7 +69,7 @@ __all__ = [
 class TorusSignature:
     """Ordered variable names plus an antisymmetric skew matrix (v-units)."""
 
-    __slots__ = ("names", "skew")
+    __slots__ = ("names", "skew", "lower")
 
     def __init__(self, names: Sequence[str], skew: Sequence[Sequence[int]]):
         self.names = tuple(names)
@@ -67,6 +81,12 @@ class TorusSignature:
             for j in range(n):
                 if self.skew[i][j] != -self.skew[j][i]:
                     raise ValueError(f"skew matrix is not antisymmetric at ({i}, {j})")
+        # (i, ((j, c(i, j)), ...)) for the rows with a nonzero entry left of the diagonal
+        self.lower = tuple(
+            (i, tuple((j, c) for j, c in enumerate(row[:i]) if c))
+            for i, row in enumerate(self.skew)
+            if any(row[:i])
+        )
 
     @classmethod
     def from_entries(cls, names: Sequence[str], entries: Mapping[tuple[int, int], int]) -> "TorusSignature":
@@ -93,17 +113,17 @@ class TorusSignature:
 
 
 def _mul_exps(signature: TorusSignature, ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Normal-ordering shift (in v-units) and combined exponents."""
-    skew = signature.skew
+    """Normal-ordering shift (in v-units) and combined exponents.
+
+    Reads only the nonzero lower skew entries that ``signature.lower`` lists.
+    """
     shift = 0
-    for i, ai in enumerate(ea):
-        if not ai:
-            continue
-        row = skew[i]
-        for j, bj in enumerate(eb[:i]):
-            if bj:
-                shift += ai * bj * row[j]
-    return shift, tuple(a + b for a, b in zip(ea, eb))
+    for i, row in signature.lower:
+        ai = ea[i]
+        if ai:
+            for j, c in row:
+                shift += ai * eb[j] * c
+    return shift, tuple(map(add, ea, eb))
 
 
 class TorusElement:
@@ -295,6 +315,9 @@ class CycleAlgebra:
         self.rots = tuple(cycle.rot for cycle in self.variables)
         self.flag_algebra = FlagAlgebra(d)
         self._image_exps = tuple(self.flag_algebra.cycle_exponents(c) for c in self.variables)
+        self._image_support = tuple(
+            tuple((f, e) for f, e in enumerate(image) if e) for image in self._image_exps
+        )
 
     def variable(self, index: int, coeff=None) -> TorusElement:
         """The monomial for variable ``index`` (0-based over nonempty cycles)."""
@@ -302,20 +325,40 @@ class CycleAlgebra:
         exps[index] = 1
         return TorusElement.monomial(self.signature, exps, coeff if coeff is not None else QLaurent.one())
 
+    @cached_property
+    def image_shifts(self) -> tuple[tuple[int, ...], ...]:
+        """``P[l][t]``, the flag-side shift of ``mu(x_l)`` against ``mu(x_t)``.
+
+        Built on first read, so an algebra that never calls ``mu`` never
+        pays for its K*K products.
+        """
+        flag_sig = self.flag_algebra.signature
+        images = self._image_exps
+        return tuple(tuple(_mul_exps(flag_sig, a, b)[0] for b in images) for a in images)
+
     def mu(self, element: TorusElement) -> TorusElement:
-        """Apply the flag substitution homomorphism to a cycle-side element."""
+        """Apply the flag substitution homomorphism to a cycle-side element.
+
+        Each term is read in one pass over the nonzero exponents of its
+        monomial, through the quadratic form in ``image_shifts`` that the
+        module docstring states.
+        """
         if element.signature != self.signature:
             raise ValueError("element does not belong to this cycle algebra")
-        flag_sig = self.flag_algebra.signature
-        zero_exps = (0,) * len(flag_sig)
+        table, supports = self.image_shifts, self._image_support
+        size = len(self.flag_algebra.signature)
         out: dict[tuple[int, ...], object] = {}
         for exps, coeff in element.terms.items():
-            shift, acc = 0, zero_exps
-            for image, power in zip(self._image_exps, exps):
-                for _ in range(power):
-                    step, acc = _mul_exps(flag_sig, acc, image)
-                    shift += step
+            support = [(t, a) for t, a in enumerate(exps) if a]
+            shift, image = 0, [0] * size
+            for n, (t, a) in enumerate(support):
+                shift += a * (a - 1) // 2 * table[t][t]
+                for l, b in support[:n]:
+                    shift += b * a * table[l][t]
+                for f, e in supports[t]:
+                    image[f] += a * e
+            key = tuple(image)
             term = coeff.times_v(shift)
-            prev = out.get(acc)
-            out[acc] = term if prev is None else prev + term
-        return TorusElement(flag_sig, out)
+            prev = out.get(key)
+            out[key] = term if prev is None else prev + term
+        return TorusElement(self.flag_algebra.signature, out)

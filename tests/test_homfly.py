@@ -22,6 +22,7 @@ from moyeval.homfly import (
 from moyeval.qexact import QLaurent, TruncatedRSeries, qbinom
 from moyeval.qtorus import CycleAlgebra, TorusElement, TorusSignature
 from moyeval.statesum import eval_table
+from test_qtorus import fold_image
 from test_statesum import TWO_THETAS
 
 
@@ -92,7 +93,9 @@ def test_series_arithmetic_and_bound_mismatches():
     assert (s - x) == one
     assert (s * s).coefficient((1,)) == TruncatedRSeries(8, {(0, 0): 2})
     assert (s * s).coefficient((2,)) == TruncatedRSeries.one(8)
-    assert s.times_v(2).constant_term() == TruncatedRSeries(8, {(2, 0): 1})
+    shifted = TruncatedTorusSeries(2, 8, TorusElement.monomial(
+        ca.signature, (0,), TruncatedRSeries.monomial(8, 2, 0)))
+    assert shifted.constant_term() == TruncatedRSeries(8, {(2, 0): 1})
     with pytest.raises(ValueError, match="x-degree bound mismatch"):
         one * TruncatedTorusSeries.one(ca, 3, 8)
     with pytest.raises(ValueError, match="truncation bound mismatch"):
@@ -178,7 +181,8 @@ def test_series_invert_requires_unit_constant_term():
     with pytest.raises(ValueError, match="constant term must be exactly 1"):
         series_invert(TruncatedTorusSeries.zero(ca, 2, 8))
     with pytest.raises(ValueError, match="constant term must be exactly 1"):
-        series_invert(TruncatedTorusSeries.one(ca, 2, 8).times_v(2))
+        series_invert(TruncatedTorusSeries(2, 8, TorusElement.monomial(
+            ca.signature, (0,), TruncatedRSeries.monomial(8, 2, 0))))
 
 
 # -- infinite twisted products ------------------------------------------------
@@ -315,11 +319,11 @@ def test_headroom_is_the_maximum_over_monomials():
               (flat, 3, 4))
     for ca, x_degree, margin in pinned:
         r_max = max(ca.rots)
-        # brute force: lam by its formula, phi read off the image mu gives
+        # brute force: lam by its formula, phi from the flag monomials of the
+        # cycles multiplied one by one, not from the table _headroom reads
         series = shift = 0
         for alpha in _monomials(len(ca.signature), x_degree):
-            image = ca.mu(TorusElement.monomial(ca.signature, alpha, QLaurent.one()))
-            (phi,) = next(iter(image.terms.values())).terms
+            phi, _ = fold_image(ca, alpha)
             lam = _lam(ca.signature.skew, alpha)
             series = max(series, lam + max(0, -phi))
             shift = max(shift, lam + 4 * r_max * sum(alpha))

@@ -6,17 +6,42 @@ import random
 
 import pytest
 
-from moyeval.diagram import Coloring, Flag, builtin
+from moyeval.cli import _check_mu
+from moyeval.diagram import Coloring, Flag, builtin, parse_diagram
 from moyeval.qexact import QLaurent, TruncatedRSeries
 from moyeval.qtorus import (
     CycleAlgebra,
     FlagAlgebra,
     TorusElement,
     TorusSignature,
+    _mul_exps,
     torus_mul,
 )
+from test_statesum import TWO_THETAS
 
 FIXTURES = ("unknot", "theta", "tetrahedron")
+
+
+def fold_image(ca, alpha):
+    """``mu(x**alpha)`` as ``(phi, exps)``: the flag monomials of the cycles,
+    multiplied by ``torus_mul`` in ascending index order."""
+    fa = ca.flag_algebra
+    product = TorusElement.monomial(fa.signature, (0,) * len(fa.signature), QLaurent.one())
+    for cycle, power in zip(ca.variables, alpha):
+        for _ in range(power):
+            product = torus_mul(product, fa.cycle_monomial(cycle, QLaurent.one()))
+    ((exps, coeff),) = product.terms.items()
+    (phi,) = coeff.terms
+    return phi, exps
+
+
+def mu_by_fold(ca, element):
+    """Reference ``mu``: each term's coefficient shifted by its folded image."""
+    out = TorusElement.zero(ca.flag_algebra.signature)
+    for alpha, coeff in element.terms.items():
+        phi, exps = fold_image(ca, alpha)
+        out = out + TorusElement.monomial(out.signature, exps, coeff.times_v(phi))
+    return out
 
 
 def small_signature():
@@ -62,6 +87,31 @@ def test_skew_commutation():
     # u_0 u_1 is already normally ordered; the reversal picks up v^(-2)
     assert ab == TorusElement.monomial(sig, (1, 1), QLaurent.one())
     assert ba == ab.times_v(-2)
+
+
+def test_normal_ordering_matches_the_dense_sum():
+    # _mul_exps reads only the nonzero lower entries; the reference reads them all
+    def dense(signature, a, b):
+        skew = signature.skew
+        shift = sum(a[i] * b[j] * skew[i][j] for i in range(len(a)) for j in range(i))
+        return shift, tuple(x + y for x, y in zip(a, b))
+
+    rng = random.Random(7321)
+    signatures = []
+    for n in (1, 2, 5, 9):
+        for density in (1.0, 0.2):
+            entries = {(i, j): rng.choice((-3, -2, -1, 1, 2, 3))
+                       for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+            signatures.append(TorusSignature.from_entries([f"u_{i}" for i in range(n)], entries))
+    for d in (builtin("theta"), builtin("tetrahedron"), parse_diagram(TWO_THETAS)):
+        ca = CycleAlgebra(d)
+        signatures += [ca.signature, ca.flag_algebra.signature]
+    for signature in signatures:
+        n = len(signature)
+        for _ in range(30):
+            a = tuple(rng.randrange(-2, 4) if rng.random() < 0.5 else 0 for _ in range(n))
+            b = tuple(rng.randrange(-2, 4) if rng.random() < 0.5 else 0 for _ in range(n))
+            assert _mul_exps(signature, a, b) == dense(signature, a, b), (signature, a, b)
 
 
 def test_associativity_against_commutative_shadow():
@@ -197,6 +247,43 @@ def test_mu_is_multiplicative():
                     inside = ca.mu(functools.reduce(torus_mul, factors))
                     outside = functools.reduce(torus_mul, map(ca.mu, factors))
                     assert inside == outside
+
+
+def test_mu_matches_the_fold_of_image_products():
+    # random sums of monomials with powers up to 3, over both rings, against
+    # the images multiplied one by one; the last algebra gets a random flag
+    # skew, because on real diagrams a cycle's image commutes with itself
+    # (it holds at most one of l and r per vertex), so P[t][t] vanishes
+    rng = random.Random(6151)
+    algebras = [CycleAlgebra(builtin(name)) for name in FIXTURES]
+    algebras.append(CycleAlgebra(parse_diagram(TWO_THETAS)))
+    twisted = CycleAlgebra(builtin("tetrahedron"))
+    n = len(twisted.flag_algebra.signature)
+    twisted.flag_algebra.signature = TorusSignature.from_entries(
+        twisted.flag_algebra.signature.names,
+        {(i, j): rng.randrange(-2, 3) for i in range(n) for j in range(i + 1, n)})
+    assert any(twisted.image_shifts[t][t] for t in range(len(twisted.variables)))
+    for ca in algebras + [twisted]:
+        k = len(ca.signature)
+        for _ in range(12):
+            terms = {}
+            for _ in range(rng.randrange(1, 5)):
+                alpha = tuple(rng.randrange(0, 4) if rng.random() < 0.6 else 0 for _ in range(k))
+                v, c = rng.randrange(-6, 7), rng.randrange(1, 4)
+                terms[alpha] = (QLaurent({v: c}), TruncatedRSeries(30, {(v, -1): c}))
+            for ring in (0, 1):
+                element = TorusElement(ca.signature, {a: pair[ring] for a, pair in terms.items()})
+                assert ca.mu(element) == mu_by_fold(ca, element)
+
+
+def test_image_shift_table_is_built_on_first_use():
+    # check --suite mu multiplies images itself and must not pay for the table
+    ca = CycleAlgebra(builtin("tetrahedron"))
+    assert "image_shifts" not in vars(ca)
+    assert _check_mu(ca)[0]
+    assert "image_shifts" not in vars(ca)
+    ca.mu(ca.variable(0))
+    assert "image_shifts" in vars(ca)
 
 
 def test_mu_exchange_follows_skew():

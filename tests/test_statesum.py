@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import moyeval.cycles
 from moyeval.cycles import CycleSet
 from moyeval.diagram import Coloring, DiagramError, PlanarDiagram, builtin, parse_diagram
 from moyeval.qexact import QLaurent, qbinom, qmultinom
@@ -154,6 +155,27 @@ def test_eval_table_matches_pointwise_evaluation():
     cs = CycleSet(d)
     for coloring, value in eval_table(d, 5, cycle_set=cs).items():
         assert moy_eval(d, coloring, 5, cycle_set=cs) == value
+
+
+def test_the_state_sum_computes_no_pairing(monkeypatch):
+    # CycleSet builds its K x K pairing matrix on first read, which the state
+    # sum never makes
+    calls = []
+    original = moyeval.cycles.pairing_doubled
+
+    def counting(c1, c2):
+        calls.append((c1, c2))
+        return original(c1, c2)
+
+    monkeypatch.setattr(moyeval.cycles, "pairing_doubled", counting)
+    d = parse_diagram(TWO_THETAS)
+    table = eval_table(d, 2)
+    for coloring, value in table.items():
+        assert moy_eval(d, coloring, 2) == value
+    assert calls == []
+    cs = CycleSet(d)
+    assert cs.pairing2 is cs.pairing2
+    assert len(calls) == len(cs) ** 2
 
 
 def test_values_are_symmetric_nonnegative_half_powers():
