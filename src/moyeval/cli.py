@@ -240,45 +240,26 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sorted_table(table: dict) -> list:
-    return sorted(table.items(), key=lambda item: item[0].sort_key())
+# JSON header keys of a table and the text line each one prints as
+_HEADER_LINES = {"x_degree": "x-degree bound: {}", "q_order": "q-order bound: {} (v-units)"}
 
 
-def _cmd_table(args) -> int:
-    d = _load_diagram(args.diagram)
-    table = eval_table(d, args.n)
+def _write_table(args, table: dict, text, to_json, key: str = "value", **header) -> None:
+    """Print a coloring table sorted by coloring: text rows, or one JSON document.
+
+    ``text`` and ``to_json`` format a value; in JSON each row holds it
+    under ``key``, and ``header`` keys turn the row list into the ``table``
+    entry of an object that starts with them.
+    """
+    rows = sorted(table.items(), key=lambda item: item[0].sort_key())
     if args.format == "json":
-        _emit_json(
-            [
-                {"coloring": _coloring_json(c), "value": _qlaurent_json(v)}
-                for c, v in _sorted_table(table)
-            ]
-        )
-        return 0
-    for coloring, value in _sorted_table(table):
-        print(f"{format_coloring(coloring)} -> {format_qlaurent(value)}")
-    return 0
-
-
-def _cmd_classical(args) -> int:
-    d = _load_diagram(args.diagram)
-    cs = CycleSet(d)
-    table = classical_series(d, args.n, cycle_set=cs)
-    rc = 0
-    if args.format == "json":
-        _emit_json(
-            [
-                {"coloring": _coloring_json(c), "count": m}
-                for c, m in _sorted_table(table)
-            ]
-        )
-    else:
-        for coloring, count in _sorted_table(table):
-            print(f"{format_coloring(coloring)} -> {count}")
-    if args.check:
-        reference = {c: v.evaluate_one() for c, v in eval_table(d, args.n, cycle_set=cs).items()}
-        rc = _report_table_check(table, reference, "convolution count", "state count", _check_file(args))
-    return rc
+        body = [{"coloring": _coloring_json(c), key: to_json(v)} for c, v in rows]
+        _emit_json({**header, "table": body} if header else body)
+        return
+    for name, value in header.items():
+        print(_HEADER_LINES[name].format(value))
+    for coloring, value in rows:
+        print(f"{format_coloring(coloring)} -> {text(value)}")
 
 
 def _check_file(args):
@@ -303,56 +284,58 @@ def _report_table_check(table: dict, reference: dict, left: str, right: str, fil
     return 0
 
 
+def _print_reports(reports: list[CheckReport], file=None) -> int:
+    """Print each report and, indented below it, its sub-reports; 3 if any failed."""
+
+    def show(report: CheckReport, pad: str) -> None:
+        detail = f" ({report.detail})" if report.detail else ""
+        print(f"{pad}{'ok' if report.ok else 'FAIL'}: {report.name}{detail}", file=file)
+        for sub in report.sub:
+            show(sub, pad + "  ")
+
+    for report in reports:
+        show(report, "")
+    return 0 if all(report.all_ok() for report in reports) else 3
+
+
+def _state_counts(d: PlanarDiagram, n: int, cs: CycleSet) -> dict:
+    """The ``q = 1`` values of the level-``n`` state sum: the reference state counts."""
+    return {c: v.evaluate_one() for c, v in eval_table(d, n, cycle_set=cs).items()}
+
+
+def _cmd_table(args) -> int:
+    d = _load_diagram(args.diagram)
+    _write_table(args, eval_table(d, args.n), format_qlaurent, _qlaurent_json)
+    return 0
+
+
+def _cmd_classical(args) -> int:
+    d = _load_diagram(args.diagram)
+    cs = CycleSet(d)
+    table = classical_series(d, args.n, cycle_set=cs)
+    _write_table(args, table, str, lambda count: count, key="count")
+    if not args.check:
+        return 0
+    reference = _state_counts(d, args.n, cs)
+    return _report_table_check(table, reference, "convolution count", "state count", _check_file(args))
+
+
 def _cmd_series(args) -> int:
     d = _load_diagram(args.diagram)
     ca = CycleAlgebra(d)
     table = generating_series_N(d, args.n, cycle_algebra=ca)
-    rc = 0
-    if args.format == "json":
-        _emit_json(
-            [
-                {"coloring": _coloring_json(c), "value": _qlaurent_json(v)}
-                for c, v in _sorted_table(table)
-            ]
-        )
-    else:
-        for coloring, value in _sorted_table(table):
-            print(f"{format_coloring(coloring)} -> {format_qlaurent(value)}")
-    if args.check:
-        reference = eval_table(d, args.n, cycle_set=ca.cycle_set)
-        rc = _report_table_check(table, reference, "twisted product", "state sum", _check_file(args))
-    return rc
-
-
-def _print_report(report: CheckReport, indent: int = 0, file=None) -> None:
-    pad = "  " * indent
-    status = "ok" if report.ok else "FAIL"
-    detail = f" ({report.detail})" if report.detail else ""
-    print(f"{pad}{status}: {report.name}{detail}", file=file)
-    for sub in report.sub:
-        _print_report(sub, indent + 1, file)
+    _write_table(args, table, format_qlaurent, _qlaurent_json)
+    if not args.check:
+        return 0
+    reference = eval_table(d, args.n, cycle_set=ca.cycle_set)
+    return _report_table_check(table, reference, "twisted product", "state sum", _check_file(args))
 
 
 def _cmd_homfly(args) -> int:
     d = _load_diagram(args.diagram)
     hs = homfly_series(d, args.max_x_degree, args.q_order)
-    if args.format == "json":
-        _emit_json(
-            {
-                "x_degree": hs.x_degree,
-                "q_order": hs.q_order,
-                "table": [
-                    {"coloring": _coloring_json(c), "value": _rseries_json(t)}
-                    for c, t in _sorted_table(hs.table)
-                ],
-            }
-        )
-    else:
-        print(f"x-degree bound: {hs.x_degree}")
-        print(f"q-order bound: {hs.q_order} (v-units)")
-        for coloring, coeff in _sorted_table(hs.table):
-            print(f"{format_coloring(coloring)} -> {format_rseries(coeff)}")
-    rc = 0
+    _write_table(args, hs.table, format_rseries, _rseries_json,
+                 x_degree=hs.x_degree, q_order=hs.q_order)
     reports = []
     if args.check:
         reports.append(check_fphi(hs))
@@ -360,11 +343,7 @@ def _cmd_homfly(args) -> int:
         reports.append(check_shift(hs))
     if args.specialize is not None:
         reports.append(specialization_check(hs, args.specialize))
-    for report in reports:
-        _print_report(report, file=_check_file(args))
-        if not report.all_ok():
-            rc = 3
-    return rc
+    return _print_reports(reports, _check_file(args))
 
 
 def _check_mu(ca: CycleAlgebra) -> tuple[bool, str]:
@@ -390,15 +369,11 @@ def _cmd_check(args) -> int:
     n = args.n
     if args.suite == "homfly":
         hs = homfly_series(d, args.max_x_degree, args.q_order)
-        reports = [check_fphi(hs), check_shift(hs), specialization_check(hs, n)]
-        for report in reports:
-            _print_report(report)
-        return 0 if all(r.all_ok() for r in reports) else 3
+        return _print_reports([check_fphi(hs), check_shift(hs), specialization_check(hs, n)])
     cs = CycleSet(d)  # both routes of every other suite share it
     if args.suite == "counts":
         table = classical_series(d, n, cycle_set=cs)
-        reference = {c: v.evaluate_one() for c, v in eval_table(d, n, cycle_set=cs).items()}
-        ok = table == reference
+        ok = table == _state_counts(d, n, cs)
         detail = f"convolution vs state counts, {len(table)} colorings at level {n}"
     elif args.suite == "series":
         series = generating_series_N(d, n, cycle_algebra=CycleAlgebra(d, cs))
@@ -409,8 +384,7 @@ def _cmd_check(args) -> int:
         detail = f"both vertex-weight forms at level {n}"
     else:  # mu
         ok, detail = _check_mu(CycleAlgebra(d, cs))
-    print(f"{'ok' if ok else 'FAIL'}: {args.suite} ({detail})")
-    return 0 if ok else 3
+    return _print_reports([CheckReport(args.suite, ok, detail)])
 
 
 # --------------------------------------------------------------------------

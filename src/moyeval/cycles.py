@@ -71,9 +71,7 @@ class Component(NamedTuple):
 class Cycle:
     """A union of pairwise vertex-disjoint circuits (possibly empty)."""
 
-    __slots__ = (
-        "components", "edge_ids", "circle_ids", "halfedges", "left_at", "right_at", "vertices", "rot"
-    )
+    __slots__ = ("components", "edge_ids", "circle_ids", "halfedges", "left_at", "right_at", "rot")
 
     def __init__(self, components: Iterable[Component] = ()):
         self.components = tuple(sorted(components, key=Component.sort_key))
@@ -84,7 +82,6 @@ class Cycle:
         self.halfedges = frozenset(h for comp in self.components for h in comp.halfedges)
         self.left_at = frozenset(v for v, role in self.halfedges if role == "l")
         self.right_at = frozenset(v for v, role in self.halfedges if role == "r")
-        self.vertices = frozenset(v for comp in self.components for v in comp.vertices)
         self.rot = sum(comp.rot for comp in self.components)
 
     @property
@@ -208,7 +205,6 @@ class CycleSet:
     def __init__(self, d: PlanarDiagram):
         self.diagram = d
         self.cycles = tuple(all_cycles(d))
-        self.index = {cycle: i for i, cycle in enumerate(self.cycles)}
 
     @cached_property
     def pairing2(self) -> list[list[int]]:
@@ -227,9 +223,6 @@ class CycleSet:
 
     def __getitem__(self, i: int) -> Cycle:
         return self.cycles[i]
-
-    def index_of(self, cycle: Cycle) -> int:
-        return self.index[cycle]
 
     @property
     def is_positive(self) -> bool:

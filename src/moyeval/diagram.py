@@ -296,24 +296,6 @@ class PlanarDiagram:
 
     # -- lookups -------------------------------------------------------------
 
-    def vertex(self, vertex_id: int) -> Vertex:
-        try:
-            return self.vertex_by_id[vertex_id]
-        except KeyError:
-            raise DiagramError(f"no vertex with id {vertex_id}") from None
-
-    def edge(self, edge_id: int) -> Edge:
-        try:
-            return self.edge_by_id[edge_id]
-        except KeyError:
-            raise DiagramError(f"no edge with id {edge_id}") from None
-
-    def circle(self, circle_id: int) -> Circle:
-        try:
-            return self.circle_by_id[circle_id]
-        except KeyError:
-            raise DiagramError(f"no circle with id {circle_id}") from None
-
     def edge_at(self, flag: Flag) -> tuple[Edge, bool]:
         """The unique edge attached at ``flag`` and whether it starts there."""
         edge_id, end = self._flag_to_edge[Flag(*flag)]
@@ -326,9 +308,6 @@ class PlanarDiagram:
             *edge.waypoints,
             self.vertex_by_id[edge.head.vertex].position,
         )
-
-    def all_flags(self) -> list[Flag]:
-        return [Flag(v.id, role) for v in self.vertices for role in ROLES]
 
     # -- validation ----------------------------------------------------------
 

@@ -90,10 +90,4 @@ def generating_series_N(
 ) -> dict[Coloring, QLaurent]:
     """Level-``n`` evaluation table computed through the cycle algebra."""
     ca = cycle_algebra or CycleAlgebra(d)
-    flag_side = ca.mu(pochhammer_N(ca, n))
-    table: dict[Coloring, QLaurent] = {}
-    for exps, coeff in flag_side.terms.items():
-        coloring = ca.flag_algebra.flow_of_monomial(exps)
-        assert coloring is not None, "cycle-algebra product produced a non-flow monomial"
-        table[coloring] = table.get(coloring, QLaurent.zero()) + coeff
-    return {coloring: value for coloring, value in table.items() if value}
+    return ca.flow_table(pochhammer_N(ca, n))

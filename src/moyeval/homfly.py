@@ -377,18 +377,8 @@ def homfly_series(d: PlanarDiagram, x_degree: int, q_order: int) -> HomflySeries
     ca = CycleAlgebra(d)
     margin, _ = _headroom(ca, x_degree)
     poch_a, poch_ainv, series_work = _assemble(ca, x_degree, q_order + margin)
-    table: dict[Coloring, TruncatedRSeries] = {}
-    for exps, coeff in ca.mu(series_work.element).terms.items():
-        tight = coeff.retruncate(q_order)
-        if not tight:
-            continue
-        coloring = ca.flag_algebra.flow_of_monomial(exps)
-        assert coloring is not None, "cycle-algebra product produced a non-flow monomial"
-        if coloring in table:
-            table[coloring] = table[coloring] + tight
-        else:
-            table[coloring] = tight
-    table = {coloring: coeff for coloring, coeff in table.items() if coeff}
+    flows = ca.flow_table(series_work.element)
+    table = {c: tight for c, coeff in flows.items() if (tight := coeff.retruncate(q_order))}
     return HomflySeries(d, ca, x_degree, q_order, poch_a, poch_ainv, series_work, table)
 
 

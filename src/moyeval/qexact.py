@@ -117,8 +117,6 @@ class QLaurent:
         return self + (-other)
 
     def __mul__(self, other) -> "QLaurent":
-        if isinstance(other, int):
-            return QLaurent({exp: coeff * other for exp, coeff in self.terms.items()})
         if not isinstance(other, QLaurent):
             return NotImplemented
         out: dict[int, int] = {}
@@ -126,11 +124,6 @@ class QLaurent:
             for e2, c2 in other.terms.items():
                 _iadd(out, e1 + e2, c1 * c2)
         return QLaurent(out)
-
-    def __rmul__(self, other) -> "QLaurent":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def times_v(self, k: int) -> "QLaurent":
         """Multiply by the monomial ``v**k``."""
@@ -312,10 +305,6 @@ class TruncatedRSeries:
         return self + (-other)
 
     def __mul__(self, other) -> "TruncatedRSeries":
-        if isinstance(other, int):
-            return TruncatedRSeries(
-                self.q_order, {k: c * other for k, c in self.terms.items()}
-            )
         if not isinstance(other, TruncatedRSeries):
             return NotImplemented
         self._check_bound(other)
@@ -327,11 +316,6 @@ class TruncatedRSeries:
                 if ve <= bound:
                     _iadd(out, (ve, b1 + b2), c1 * c2)
         return TruncatedRSeries(bound, out)
-
-    def __rmul__(self, other) -> "TruncatedRSeries":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def times_v(self, k: int) -> "TruncatedRSeries":
         if k == 0:

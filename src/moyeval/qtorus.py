@@ -45,6 +45,8 @@ diagram the diagonal ``P[t][t]`` is 0, since a cycle holds at most one of
 ``l`` and ``r`` at each vertex, but the form holds for any flag skew.  So
 ``mu`` works on exponent tuples, reads the table once per pair of
 variables a monomial holds, and shifts each coefficient once.
+``CycleAlgebra.flow_table`` reads the image of ``mu`` as a table from flow
+colorings to coefficients; it is the only decoder of flag monomials.
 """
 
 from __future__ import annotations
@@ -362,3 +364,17 @@ class CycleAlgebra:
             prev = out.get(key)
             out[key] = term if prev is None else prev + term
         return TorusElement(self.flag_algebra.signature, out)
+
+    def flow_table(self, element: TorusElement) -> dict:
+        """``mu(element)`` read as a table from flow colorings to coefficients.
+
+        This is the one place where flag monomials become colorings.  A
+        flow's monomial is fixed by its coloring, so distinct terms of the
+        image give distinct colorings and no two of them merge.
+        """
+        table: dict[Coloring, object] = {}
+        for exps, coeff in self.mu(element).terms.items():
+            coloring = self.flag_algebra.flow_of_monomial(exps)
+            assert coloring is not None, "cycle-algebra product produced a non-flow monomial"
+            table[coloring] = coeff
+        return table

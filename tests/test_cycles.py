@@ -113,7 +113,7 @@ def test_disjoint_union_with_circle():
         union = by_key[(edges, (7,))]
         assert union.rot == plain.rot + 1
         assert len(union.components) == 2
-        i, j = cs.index_of(plain), cs.index_of(union)
+        i, j = cs.cycles.index(plain), cs.cycles.index(union)
         for k in range(len(cs)):
             assert cs.pairing2[i][k] == cs.pairing2[j][k]
 
@@ -137,14 +137,14 @@ def test_cycles_are_vertex_disjoint_unions():
             assert cycle.rot == sum(comp.rot for comp in cycle.components)
 
 
-def test_canonical_order_and_index_of():
+def test_canonical_order_lists_each_cycle_once():
     for d in (builtin("tetrahedron"), THETA_PLUS_CIRCLE):
         cs = CycleSet(d)
         keys = [c.sort_key() for c in cs]
         assert keys == sorted(keys)
         assert cs[0].is_empty
         for i, c in enumerate(cs):
-            assert cs.index_of(c) == i
+            assert cs.cycles.index(c) == i
             assert cs[i] is c
 
 

@@ -60,24 +60,17 @@ def test_builtins_construct_and_validate():
 
 def test_lookups():
     d = builtin("theta")
-    assert d.vertex(0).kind == "split"
-    assert d.edge(2).waypoints == ((Fraction(1), Fraction(0)),)
+    assert d.vertex_by_id[0].kind == "split"
+    assert d.edge_by_id[2].waypoints == ((Fraction(1), Fraction(0)),)
     edge, starts_here = d.edge_at(Flag(0, "l"))
     assert edge.id == 1 and starts_here
     edge, starts_here = d.edge_at(Flag(1, "l"))
     assert edge.id == 1 and not starts_here
-    assert len(d.all_flags()) == 6
-    with pytest.raises(DiagramError, match="no vertex with id 9"):
-        d.vertex(9)
-    with pytest.raises(DiagramError, match="no edge with id 9"):
-        d.edge(9)
-    with pytest.raises(DiagramError, match="no circle with id 9"):
-        d.circle(9)
 
 
 def test_edge_points_includes_endpoints():
     d = builtin("theta")
-    pts = d.edge_points(d.edge(0))
+    pts = d.edge_points(d.edge_by_id[0])
     assert pts[0] == (Fraction(0), Fraction(1))  # tail vertex 1
     assert pts[-1] == (Fraction(0), Fraction(-1))  # head vertex 0
     assert len(pts) == 3
@@ -87,7 +80,7 @@ def test_coordinates_parsed_exactly():
     d = PlanarDiagram(
         circles=[{"id": 0, "center": ["1/3", 0.5], "radius": "1/4", "orientation": "cw"}]
     )
-    c = d.circle(0)
+    c = d.circle_by_id[0]
     assert c.center == (Fraction(1, 3), Fraction(1, 2))
     assert c.radius == Fraction(1, 4)
 
@@ -272,7 +265,7 @@ def test_loops_and_multi_edges_allowed():
             {"id": 2, "tail": [1, "m"], "head": [1, "r"], "waypoints": [[5, -1], [6, 0], [5, 1]]},
         ],
     )
-    assert d.edge(0).tail.vertex == d.edge(0).head.vertex
+    assert d.edge_by_id[0].tail.vertex == d.edge_by_id[0].head.vertex
     # theta itself is a doubled edge plus a parallel pair
     assert len(builtin("theta").edges) == 3
 
@@ -337,7 +330,7 @@ def test_serialized_coordinates_stay_exact():
     # 1/3 and 2/7 have no finite decimal form and must survive as strings
     assert data["circles"][0]["center"] == ["1/3", 1.5]
     assert data["circles"][0]["radius"] == "2/7"
-    assert parse_diagram(serialize_diagram(d)).circle(0).radius == Fraction(2, 7)
+    assert parse_diagram(serialize_diagram(d)).circle_by_id[0].radius == Fraction(2, 7)
 
 
 def test_parse_rejects_bad_documents():

@@ -10,6 +10,7 @@ import pytest
 import moyeval.homfly
 import moyeval.qtorus
 from moyeval.diagram import Coloring, DiagramError, builtin, parse_diagram
+from moyeval.genseries import pochhammer_N
 from moyeval.homfly import (
     TruncatedTorusSeries,
     check_fphi,
@@ -219,6 +220,20 @@ def test_homfly_series_unknot_table_frozen():
         ((0, 1),): {(2, -2): 1, (6, -2): 1, (2, 2): -1, (6, 2): -1},
         ((0, 2),): {(8, -4): 1, (4, 4): 1, (8, 4): 1, (4, 0): -1, (8, 0): -2},
     }
+
+
+def test_the_flow_table_merges_no_terms():
+    # a flow's monomial is fixed by its coloring, so reading mu's image as a
+    # flow table keeps every term: no two of them share a coloring
+    cases = [(builtin(name), 3, 12) for name in ("unknot", "theta")]
+    cases += [(builtin("tetrahedron"), None, None), (parse_diagram(TWO_THETAS), 2, 8)]
+    for d, x_degree, q_order in cases:
+        ca = CycleAlgebra(d)
+        elements = [pochhammer_N(ca, 3)]
+        if x_degree is not None:  # the tetrahedron is not positive
+            elements.append(homfly_series(d, x_degree, q_order).series_work.element)
+        for element in elements:
+            assert len(ca.flow_table(element)) == len(ca.mu(element).terms) > 1
 
 
 def test_truncation_bounds_are_coherent():

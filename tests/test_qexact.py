@@ -32,8 +32,6 @@ class TestQLaurent:
         assert (v + vinv) * (v + vinv) == QLaurent({2: 1, 0: 2, -2: 1})
         assert v * vinv == QLaurent.one()
         assert v - v == QLaurent.zero()
-        assert 3 * v == QLaurent({1: 3})
-        assert v * 0 == QLaurent.zero()
 
     def test_times_v_and_evaluate(self):
         p = QLaurent({2: 1, -2: 1})
