@@ -137,19 +137,18 @@ def elementary_circuits(d: PlanarDiagram) -> list[Component]:
         edges.sort(key=lambda e: e.id)
 
     circuits: list[Component] = []
-
-    def search(start: int, here: int, path: list, visited: set) -> None:
-        for e in out_edges[here]:
-            nxt = e.head.vertex
-            if nxt == start:
-                circuits.append(_circuit_component(d, path + [e]))
-            elif nxt > start and nxt not in visited:
-                search(start, nxt, path + [e], visited | {nxt})
-
     for v in d.vertices:
         # Restricting interior vertices to ids above the start vertex makes
         # every circuit appear exactly once, rooted at its smallest vertex.
-        search(v.id, v.id, [], {v.id})
+        stack = [(v.id, [], {v.id})]
+        while stack:
+            here, path, visited = stack.pop()
+            for e in out_edges[here]:
+                nxt = e.head.vertex
+                if nxt == v.id:
+                    circuits.append(_circuit_component(d, path + [e]))
+                elif nxt > v.id and nxt not in visited:
+                    stack.append((nxt, path + [e], visited | {nxt}))
 
     for c in d.circles:
         circuits.append(
@@ -178,14 +177,13 @@ def all_cycles(d: PlanarDiagram) -> list[Cycle]:
         [not (circuits[i].vertices & circuits[j].vertices) for j in range(n)] for i in range(n)
     ]
     found: list[Cycle] = []
-
-    def extend(chosen: list[int], start: int) -> None:
+    stack = [([], 0)]  # (chosen circuits, first index that may join them)
+    while stack:
+        chosen, start = stack.pop()
         found.append(Cycle([circuits[i] for i in chosen]))
         for i in range(start, n):
             if all(compatible[i][j] for j in chosen):
-                extend(chosen + [i], i + 1)
-
-    extend([], 0)
+                stack.append((chosen + [i], i + 1))
     found.sort(key=Cycle.sort_key)
     return found
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "DiagramError",

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .diagram import Coloring, DiagramError, PlanarDiagram, format_coloring
-from .qexact import QLaurent, TruncatedRSeries
+from .qexact import QLaurent, TruncatedRSeries, _Terms
 from .qtorus import CycleAlgebra, TorusElement, torus_mul
 from .statesum import eval_table
 
@@ -68,18 +68,23 @@ __all__ = [
 ]
 
 
-class TruncatedTorusSeries:
+class TruncatedTorusSeries(_Terms):
     """A cycle-algebra element with truncated-series coefficients.
 
-    Terms of total x-degree above ``x_degree`` are discarded, and every
-    coefficient is a ``TruncatedRSeries`` at the common bound ``q_order``.
+    Terms of total x-degree above ``x_degree`` are discarded, every
+    coefficient is a ``TruncatedRSeries`` at the common bound ``q_order``,
+    and no x-exponent is negative; the constructor checks all three.  The
+    terms are those of ``element``.
     """
 
     __slots__ = ("x_degree", "q_order", "element")
+    __hash__ = None  # series are never keys
 
     def __init__(self, x_degree: int, q_order: int, element: TorusElement):
         kept = {}
         for exps, coeff in element.terms.items():
+            if min(exps, default=0) < 0:
+                raise ValueError("series terms need nonnegative x-exponents")
             if sum(exps) > x_degree:
                 continue
             if coeff.q_order != q_order:
@@ -89,7 +94,7 @@ class TruncatedTorusSeries:
             kept[exps] = coeff
         self.x_degree = x_degree
         self.q_order = q_order
-        self.element = TorusElement(element.signature, kept)
+        self.element = element._like(kept)
 
     @classmethod
     def zero(cls, ca: CycleAlgebra, x_degree: int, q_order: int) -> "TruncatedTorusSeries":
@@ -104,41 +109,22 @@ class TruncatedTorusSeries:
             TorusElement.monomial(ca.signature, exps, TruncatedRSeries.one(q_order)),
         )
 
-    def _check_compatible(self, other: "TruncatedTorusSeries") -> None:
+    @property
+    def terms(self) -> dict:
+        return self.element.terms
+
+    def _check(self, other: "TruncatedTorusSeries") -> None:
         if self.x_degree != other.x_degree:
             raise ValueError(f"x-degree bound mismatch: {self.x_degree} != {other.x_degree}")
         if self.q_order != other.q_order:
             raise ValueError(f"truncation bound mismatch: {self.q_order} != {other.q_order}")
 
-    def _wrap(self, element: TorusElement) -> "TruncatedTorusSeries":
-        return TruncatedTorusSeries(self.x_degree, self.q_order, element)
-
-    def __bool__(self) -> bool:
-        return bool(self.element)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedTorusSeries):
-            return NotImplemented
-        return (
-            self.x_degree == other.x_degree
-            and self.q_order == other.q_order
-            and self.element == other.element
-        )
-
-    def __add__(self, other: "TruncatedTorusSeries") -> "TruncatedTorusSeries":
-        if not isinstance(other, TruncatedTorusSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        return self._wrap(self.element + other.element)
-
-    def __neg__(self) -> "TruncatedTorusSeries":
-        return self._wrap(-self.element)
-
-    def __sub__(self, other: "TruncatedTorusSeries") -> "TruncatedTorusSeries":
-        if not isinstance(other, TruncatedTorusSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        return self._wrap(self.element - other.element)
+    def _like(self, terms: dict) -> "TruncatedTorusSeries":
+        out = object.__new__(TruncatedTorusSeries)
+        out.x_degree = self.x_degree
+        out.q_order = self.q_order
+        out.element = self.element._like(terms)
+        return out
 
     def __mul__(self, other: "TruncatedTorusSeries") -> "TruncatedTorusSeries":
         """The product, forming only the pairs whose x-degrees sum to at most the bound.
@@ -148,14 +134,14 @@ class TruncatedTorusSeries:
         """
         if not isinstance(other, TruncatedTorusSeries):
             return NotImplemented
-        self._check_compatible(other)
+        self._check(other)
         left = _graded(self)
         out = below = TorusElement.zero(self.element.signature)
         for k, piece in enumerate(_graded(other)):
             below = below + piece  # the terms of other of x-degree <= k
             if left[self.x_degree - k]:
                 out = out + torus_mul(left[self.x_degree - k], below)
-        return self._wrap(out)
+        return self._like(out.terms)
 
     def shift_a(self, delta: int) -> "TruncatedTorusSeries":
         """Apply ``a -> q**delta * a`` to every coefficient.
@@ -163,12 +149,11 @@ class TruncatedTorusSeries:
         Only trustworthy when computed with enough headroom above the
         target bound; see ``check_shift``.
         """
-        return self._wrap(
-            TorusElement(
-                self.element.signature,
-                {e: c.shift_a(delta) for e, c in self.element.terms.items()},
-            )
+        element = TorusElement(
+            self.element.signature,
+            {e: c.shift_a(delta) for e, c in self.element.terms.items()},
         )
+        return TruncatedTorusSeries(self.x_degree, self.q_order, element)
 
     def retruncate(self, q_order: int) -> "TruncatedTorusSeries":
         element = TorusElement(
@@ -197,10 +182,8 @@ def _graded(s: TruncatedTorusSeries) -> list[TorusElement]:
     """The homogeneous pieces of ``s``: entry ``d`` holds its terms of x-degree ``d``."""
     pieces: list[dict] = [{} for _ in range(s.x_degree + 1)]
     for exps, coeff in s.element.terms.items():
-        if min(exps, default=0) < 0:
-            raise ValueError("series terms need nonnegative x-exponents")
         pieces[sum(exps)][exps] = coeff
-    return [TorusElement(s.element.signature, piece) for piece in pieces]
+    return [s.element._like(piece) for piece in pieces]
 
 
 def _linear_factor(
@@ -330,7 +313,7 @@ def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
         for j in range(1, d + 1):
             total = total + torus_mul(inverse[d - j], pieces[j])
         inverse.append(-total)
-    return s._wrap(sum(inverse[1:], inverse[0]))
+    return s._like(sum(inverse[1:], inverse[0]).terms)
 
 
 def _assemble(

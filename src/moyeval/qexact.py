@@ -21,9 +21,17 @@ Both stay, although a b-free ``TruncatedRSeries`` with a large enough
 bound could stand in for a ``QLaurent``: keying terms by ``int`` instead
 of by ``(v, b)`` tuples makes ``QLaurent`` products about 1.5 times as
 fast (``qfact(6) * qfact(5)`` under CPython 3.11), and those products are
-about half the work of the finite-level tables.  The two classes share
-only the coefficient protocol of :mod:`moyeval.qtorus` (``+``, ``*``,
-``times_v`` and truth testing), never mixing rings in one operation.
+about half the work of the finite-level tables.  The two rings never mix
+in one operation.
+
+Both rings, and the quantum-torus elements and truncated torus series
+over them, are sparse term maps built on one private base, ``_Terms``:
+truth testing, equality, ``+``, ``-`` and negation are written there
+once, and ``_iadd`` is the one rule for adding into a term map.  Terms
+are cleaned once, on entry: each public constructor drops zero
+coefficients and terms outside its bounds, and results that cannot leave
+a bound or empty a coefficient are built by ``_like`` without a second
+pass.
 
 On top of ``QLaurent`` the usual quantum combinatorics are defined:
 ``qint``, ``qfact``, ``qbinom`` and ``qmultinom``.  Division is performed
@@ -34,7 +42,7 @@ indicates a logic error upstream rather than a recoverable condition.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "ExactDivisionError",
@@ -52,15 +60,66 @@ class ExactDivisionError(ArithmeticError):
     """Raised when polynomial division leaves a nonzero remainder."""
 
 
-def _iadd(dest: dict, key, coeff: int) -> None:
-    new = dest.get(key, 0) + coeff
+def _iadd(dest: dict, key, coeff) -> None:
+    """Add ``coeff`` into ``dest[key]``, dropping the entry when it cancels.
+
+    Coefficients are ``int`` or ring values; a missing entry means no
+    previous value, so a zero ``coeff`` never enters ``dest``.
+    """
+    prev = dest.get(key)
+    new = coeff if prev is None else prev + coeff
     if new:
         dest[key] = new
     else:
         dest.pop(key, None)
 
 
-class QLaurent:
+class _Terms:
+    """Sparse terms ``{key: coefficient}``, no coefficient zero.
+
+    Holds the operations that do not depend on the ring, written against
+    two hooks: ``_check(other)`` raises when ``other`` has another bound or
+    signature, and ``_like(terms)`` builds a sibling over the same bound or
+    signature from terms that are already clean (no zero coefficient,
+    nothing outside a bound).  Equality compares every slot: a subclass's
+    slots hold its bounds and its terms.
+    """
+
+    __slots__ = ()
+
+    def _check(self, other) -> None:
+        pass
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _iadd(out, key, coeff)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({key: -coeff for key, coeff in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+
+class QLaurent(_Terms):
     """Integer Laurent polynomial in ``v`` (``v**4 == q``).
 
     Stored sparsely as ``{v_exponent: coefficient}`` with zero coefficients
@@ -77,6 +136,11 @@ class QLaurent:
                 if coeff:
                     self.terms[exp] = coeff
 
+    def _like(self, terms: dict[int, int]) -> "QLaurent":
+        out = object.__new__(QLaurent)
+        out.terms = terms
+        return out
+
     @classmethod
     def zero(cls) -> "QLaurent":
         return cls()
@@ -89,33 +153,6 @@ class QLaurent:
     def monomial(cls, v_exp: int, coeff: int = 1) -> "QLaurent":
         return cls({v_exp: coeff})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "QLaurent") -> "QLaurent":
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            _iadd(out, exp, coeff)
-        return QLaurent(out)
-
-    def __neg__(self) -> "QLaurent":
-        return QLaurent({exp: -coeff for exp, coeff in self.terms.items()})
-
-    def __sub__(self, other: "QLaurent") -> "QLaurent":
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "QLaurent":
         if not isinstance(other, QLaurent):
             return NotImplemented
@@ -123,13 +160,13 @@ class QLaurent:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 _iadd(out, e1 + e2, c1 * c2)
-        return QLaurent(out)
+        return self._like(out)
 
     def times_v(self, k: int) -> "QLaurent":
         """Multiply by the monomial ``v**k``."""
         if k == 0:
             return self
-        return QLaurent({exp + k: coeff for exp, coeff in self.terms.items()})
+        return self._like({exp + k: coeff for exp, coeff in self.terms.items()})
 
     def evaluate_one(self) -> int:
         """Evaluate at ``v = 1`` (equivalently ``q = 1``)."""
@@ -232,7 +269,7 @@ def qmultinom(n: int, parts: Sequence[int]) -> QLaurent:
     return exact_div(qfact(n), denom)
 
 
-class TruncatedRSeries:
+class TruncatedRSeries(_Terms):
     """Laurent series in ``v`` and ``b`` truncated above a fixed v-exponent.
 
     ``q_order`` is the maximal v-exponent retained; every term with a larger
@@ -270,44 +307,22 @@ class TruncatedRSeries:
     def monomial(cls, q_order: int, v_exp: int, b_exp: int, coeff: int = 1) -> "TruncatedRSeries":
         return cls(q_order, {(v_exp, b_exp): coeff})
 
-    def _check_bound(self, other: "TruncatedRSeries") -> None:
+    def _check(self, other: "TruncatedRSeries") -> None:
         if self.q_order != other.q_order:
             raise ValueError(
                 f"truncation bound mismatch: {self.q_order} != {other.q_order}"
             )
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedRSeries):
-            return NotImplemented
-        return self.q_order == other.q_order and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.q_order, frozenset(self.terms.items())))
-
-    def __add__(self, other: "TruncatedRSeries") -> "TruncatedRSeries":
-        if not isinstance(other, TruncatedRSeries):
-            return NotImplemented
-        self._check_bound(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _iadd(out, key, coeff)
-        return TruncatedRSeries(self.q_order, out)
-
-    def __neg__(self) -> "TruncatedRSeries":
-        return TruncatedRSeries(self.q_order, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TruncatedRSeries") -> "TruncatedRSeries":
-        if not isinstance(other, TruncatedRSeries):
-            return NotImplemented
-        return self + (-other)
+    def _like(self, terms: dict[tuple[int, int], int]) -> "TruncatedRSeries":
+        out = object.__new__(TruncatedRSeries)
+        out.q_order = self.q_order
+        out.terms = terms
+        return out
 
     def __mul__(self, other) -> "TruncatedRSeries":
         if not isinstance(other, TruncatedRSeries):
             return NotImplemented
-        self._check_bound(other)
+        self._check(other)
         bound = self.q_order
         out: dict[tuple[int, int], int] = {}
         for (v1, b1), c1 in self.terms.items():
@@ -315,7 +330,7 @@ class TruncatedRSeries:
                 ve = v1 + v2
                 if ve <= bound:
                     _iadd(out, (ve, b1 + b2), c1 * c2)
-        return TruncatedRSeries(bound, out)
+        return self._like(out)
 
     def times_v(self, k: int) -> "TruncatedRSeries":
         if k == 0:

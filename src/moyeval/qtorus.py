@@ -17,6 +17,14 @@ truth testing of them; ``mu`` needs only ``+``, ``times_v`` and truth
 testing, so its image keeps the ring (and any truncation bound) of its
 input without knowing which ring that is.
 
+``TorusElement`` is built on the sparse-term base of those rings
+(``moyeval.qexact._Terms``), so its sums, negation and equality are the
+same code as theirs.  ``torus_mul`` and ``mu`` collect terms through the
+rings' ``_iadd``, which never stores a zero coefficient, so a product is
+not filtered a second time.  Only the public constructor filters;
+``times_v`` goes through it, since shifting truncated coefficients can
+empty them.
+
 Two concrete algebras are built from a diagram:
 
 ``FlagAlgebra``
@@ -57,7 +65,7 @@ from typing import Mapping, Sequence
 
 from .cycles import Cycle, CycleSet
 from .diagram import Coloring, Flag, PlanarDiagram, ROLES
-from .qexact import QLaurent
+from .qexact import QLaurent, _iadd, _Terms
 
 __all__ = [
     "TorusSignature",
@@ -128,10 +136,11 @@ def _mul_exps(signature: TorusSignature, ea: tuple[int, ...], eb: tuple[int, ...
     return shift, tuple(map(add, ea, eb))
 
 
-class TorusElement:
+class TorusElement(_Terms):
     """A finite sum of normal-ordered monomials with ring coefficients."""
 
     __slots__ = ("signature", "terms")
+    __hash__ = None  # elements are never keys
 
     def __init__(self, signature: TorusSignature, terms: Mapping[tuple[int, ...], object] | None = None):
         self.signature = signature
@@ -149,41 +158,15 @@ class TorusElement:
     def monomial(cls, signature: TorusSignature, exps: Sequence[int], coeff) -> "TorusElement":
         return cls(signature, {tuple(exps): coeff})
 
-    def _check_signature(self, other: "TorusElement") -> None:
+    def _check(self, other: "TorusElement") -> None:
         if self.signature != other.signature:
             raise ValueError("cannot combine elements over different signatures")
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self.signature == other.signature and self.terms == other.terms
-
-    def __add__(self, other: "TorusElement") -> "TorusElement":
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        self._check_signature(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            if exps in out:
-                total = out[exps] + coeff
-                if total:
-                    out[exps] = total
-                else:
-                    del out[exps]
-            else:
-                out[exps] = coeff
-        return TorusElement(self.signature, out)
-
-    def __neg__(self) -> "TorusElement":
-        return TorusElement(self.signature, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self + (-other)
+    def _like(self, terms: dict) -> "TorusElement":
+        out = object.__new__(TorusElement)
+        out.signature = self.signature
+        out.terms = terms
+        return out
 
     def __mul__(self, other) -> "TorusElement":
         if isinstance(other, TorusElement):
@@ -207,21 +190,13 @@ class TorusElement:
 
 def torus_mul(x: TorusElement, y: TorusElement) -> TorusElement:
     """Product in the quantum torus, collecting normal-ordered monomials."""
-    x._check_signature(y)
+    x._check(y)
     out: dict[tuple[int, ...], object] = {}
     for ea, ca in x.terms.items():
         for eb, cb in y.terms.items():
             shift, exps = _mul_exps(x.signature, ea, eb)
-            coeff = (ca * cb).times_v(shift)
-            if exps in out:
-                total = out[exps] + coeff
-                if total:
-                    out[exps] = total
-                else:
-                    del out[exps]
-            elif coeff:
-                out[exps] = coeff
-    return TorusElement(x.signature, out)
+            _iadd(out, exps, (ca * cb).times_v(shift))
+    return x._like(out)
 
 
 class FlagAlgebra:
@@ -267,10 +242,6 @@ class FlagAlgebra:
             exps[self.z_circle[circle_id]] += 1
             exps[self.Z_circle[circle_id]] += 1
         return tuple(exps)
-
-    def cycle_monomial(self, cycle: Cycle, coeff) -> TorusElement:
-        """The flag monomial of a single cycle with the given coefficient."""
-        return TorusElement.monomial(self.signature, self.cycle_exponents(cycle), coeff)
 
     def flow_of_monomial(self, exps: Sequence[int]) -> Coloring | None:
         """Read a monomial's exponents as an edge/circle coloring.
@@ -331,8 +302,10 @@ class CycleAlgebra:
     def image_shifts(self) -> tuple[tuple[int, ...], ...]:
         """``P[l][t]``, the flag-side shift of ``mu(x_l)`` against ``mu(x_t)``.
 
-        Built on first read, so an algebra that never calls ``mu`` never
-        pays for its K*K products.
+        Built on first read, so an algebra that never calls ``mu`` and is
+        never checked never pays for its K*K products.  ``check --suite mu``
+        compares ``P[i][j] - P[j][i]`` with the cycle skew, so it checks
+        this table.
         """
         flag_sig = self.flag_algebra.signature
         images = self._image_exps
@@ -359,10 +332,7 @@ class CycleAlgebra:
                     shift += b * a * table[l][t]
                 for f, e in supports[t]:
                     image[f] += a * e
-            key = tuple(image)
-            term = coeff.times_v(shift)
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
+            _iadd(out, tuple(image), coeff.times_v(shift))
         return TorusElement(self.flag_algebra.signature, out)
 
     def flow_table(self, element: TorusElement) -> dict:

@@ -1,5 +1,6 @@
 """Cycle enumeration, rotation numbers, and the intersection pairing."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -163,3 +164,16 @@ def test_cycle_identity_ignores_traversal():
     a, b = by_edges[(0, 1)], by_edges[(0, 2)]
     assert a != b and a == a
     assert len({a, b, a}) == 2
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # the cycles and scratch tables of an enumeration are freed when the last
+    # reference goes, not at the next run of the cyclic collector
+    d = builtin("tetrahedron")
+    gc.collect()
+    gc.disable()
+    try:
+        CycleSet(d)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

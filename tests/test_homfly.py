@@ -103,9 +103,9 @@ def test_series_arithmetic_and_bound_mismatches():
         one * TruncatedTorusSeries.one(ca, 2, 12)
     with pytest.raises(ValueError, match="cannot raise a truncation bound"):
         one.retruncate(12)
-    # the graded product files terms by x-degree, which needs exponents >= 0
+    # products file terms by x-degree, so the constructor rejects negative exponents
     with pytest.raises(ValueError, match="nonnegative x-exponents"):
-        tts(ca, 2, 8, {(-1,): {(0, 0): 1}}) * one
+        tts(ca, 2, 8, {(-1,): {(0, 0): 1}})
 
 
 def test_series_invert_geometric():
@@ -184,6 +184,71 @@ def test_series_invert_requires_unit_constant_term():
     with pytest.raises(ValueError, match="constant term must be exactly 1"):
         series_invert(TruncatedTorusSeries(2, 8, TorusElement.monomial(
             ca.signature, (0,), TruncatedRSeries.monomial(8, 2, 0))))
+
+
+def assert_clean(value):
+    """No stored coefficient is falsy and no term lies above a v- or x-degree bound."""
+    for key, coeff in value.terms.items():
+        assert coeff, (type(value).__name__, key)
+        if isinstance(value, TruncatedRSeries):
+            assert key[0] <= value.q_order, (key, value.q_order)
+        if isinstance(value, TruncatedTorusSeries):
+            assert sum(key) <= value.x_degree, (key, value.x_degree)
+        if not isinstance(coeff, int):
+            assert_clean(coeff)
+
+
+def test_every_operation_keeps_terms_clean():
+    # Random walks over the four containers: each step applies one operation
+    # to values made so far and checks its result.  Small coefficients make
+    # sums cancel, and times_v, shift_a and retruncate push truncated terms
+    # over the bound, so a result that skipped its constructor's filter shows.
+    rng = random.Random(7321)
+    ca = CycleAlgebra(builtin("tetrahedron"))  # three cycles, skewed by +-4
+    x_degree, q_order = 3, 8
+    zeros = (0,) * len(ca.signature)
+
+    def laurent():
+        return QLaurent({rng.randrange(-6, 7): rng.randrange(-2, 3) for _ in range(4)})
+
+    def rseries():
+        return TruncatedRSeries(q_order, {
+            (rng.randrange(-4, q_order + 1), rng.randrange(-2, 3)): rng.randrange(-2, 3)
+            for _ in range(4)})
+
+    def element(coeff):
+        return TorusElement(ca.signature, {
+            tuple(rng.randrange(0, 2) for _ in zeros): coeff() for _ in range(4)})
+
+    def invert(s):
+        # set the constant term to 1, then invert
+        constant = s.constant_term() - TruncatedRSeries.one(q_order)
+        return series_invert(s - TruncatedTorusSeries(
+            x_degree, q_order, TorusElement.monomial(ca.signature, zeros, constant)))
+
+    shared = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+              lambda x, y: -x, lambda x, y: x - x]
+    times_v = [lambda x, y: x.times_v(rng.randrange(-4, q_order + 4))]
+    shift_a = [lambda x, y: x.shift_a(rng.randrange(-q_order, q_order + 1))]
+    retruncate = [lambda x: x.retruncate(rng.randrange(-2, q_order + 1))]
+    # (start values, steps, finals): a final changes the bound or signature,
+    # so its results are checked but not walked on
+    walks = [
+        ([laurent() for _ in range(3)], shared + times_v, []),
+        ([rseries() for _ in range(3)], shared + times_v + shift_a, retruncate),
+        ([element(laurent) for _ in range(3)], shared + times_v, [ca.mu]),
+        ([element(rseries) for _ in range(3)], shared + times_v, [ca.mu]),
+        ([random_series(rng, ca, x_degree, q_order, 5, v_low=-4) for _ in range(3)],
+         shared + shift_a, retruncate + [invert, lambda s: ca.mu(s.element)]),
+    ]
+    for values, steps, finals in walks:
+        for _ in range(25):
+            result = rng.choice(steps)(rng.choice(values), rng.choice(values))
+            assert_clean(result)
+            values.append(result)
+        for final in finals:
+            for value in values:
+                assert_clean(final(value))
 
 
 # -- infinite twisted products ------------------------------------------------
