@@ -29,12 +29,7 @@ from .diagram import (
     serialize_diagram,
     validate_coloring,
 )
-from .genseries import (
-    classical_cycle_polynomial,
-    classical_series,
-    generating_series_N,
-    pochhammer_N,
-)
+from .genseries import classical_series, generating_series_N, pochhammer_N
 from .homfly import (
     CheckReport,
     HomflySeries,
@@ -116,7 +111,6 @@ __all__ = [
     "moy_eval",
     "moy_eval_alt",
     # generating series
-    "classical_cycle_polynomial",
     "classical_series",
     "generating_series_N",
     "pochhammer_N",

@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .cycles import CycleSet
@@ -407,7 +408,9 @@ def _add_format(sub) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and reused: parsing leaves it unchanged."""
     parser = _Parser(prog="moyeval", description="Exact evaluation of colored MOY graphs.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 

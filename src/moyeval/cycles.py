@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .diagram import Coloring, DiagramError, PlanarDiagram, Point
+from .diagram import DiagramError, PlanarDiagram, Point
 
 __all__ = [
     "Component",
@@ -93,12 +93,6 @@ class Cycle:
             len(self.edge_ids) + len(self.circle_ids),
             tuple(sorted(self.edge_ids)),
             tuple(sorted(self.circle_ids)),
-        )
-
-    def indicator_coloring(self) -> Coloring:
-        return Coloring(
-            edges={e: 1 for e in self.edge_ids},
-            circles={c: 1 for c in self.circle_ids},
         )
 
     def __eq__(self, other: object) -> bool:

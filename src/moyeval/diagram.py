@@ -24,7 +24,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "DiagramError",
@@ -153,12 +153,6 @@ class Coloring:
                 out[key] = val
         return tuple(sorted(out.items()))
 
-    def edge_value(self, edge_id: int) -> int:
-        return dict(self.edges).get(edge_id, 0)
-
-    def circle_value(self, circle_id: int) -> int:
-        return dict(self.circles).get(circle_id, 0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coloring):
             return NotImplemented
@@ -243,7 +237,11 @@ class _Segment(NamedTuple):
 
 
 class PlanarDiagram:
-    """A validated MOY graph with an exact planar embedding."""
+    """A validated MOY graph with an exact planar embedding.
+
+    It owns the color-slot layout of internal colorings: edges in id order,
+    then circles in id order (``edge_slot``, ``circle_slot``, ``coloring_of``).
+    """
 
     def __init__(
         self,
@@ -259,6 +257,9 @@ class PlanarDiagram:
         self.circle_by_id = {c.id: c for c in self.circles}
         self._flag_to_edge: dict[Flag, tuple[int, str]] = {}
         self._validate()
+        self.edge_slot = {e.id: i for i, e in enumerate(self.edges)}
+        self.circle_slot = {c.id: len(self.edges) + i for i, c in enumerate(self.circles)}
+        self.slot_count = len(self.edges) + len(self.circles)
 
     # -- construction helpers ------------------------------------------------
 
@@ -308,6 +309,19 @@ class PlanarDiagram:
             *edge.waypoints,
             self.vertex_by_id[edge.head.vertex].position,
         )
+
+    def slots(self, edge_ids: Iterable[int], circle_ids: Iterable[int]) -> list[int]:
+        """The slots of the given edges, then of the given circles."""
+        return [self.edge_slot[e] for e in edge_ids] + [self.circle_slot[c] for c in circle_ids]
+
+    def coloring_of(self, slots: Sequence[int]) -> Coloring:
+        """The coloring with colors ``slots`` in slot order, not validated again
+        (internal arithmetic made them); it equals ``Coloring`` of the same colors."""
+        coloring = object.__new__(Coloring)
+        # built from lists: tuple() of a generator over-allocates, and these live long
+        coloring.edges = tuple([(e.id, k) for e, k in zip(self.edges, slots) if k])
+        coloring.circles = tuple([(c.id, k) for c, k in zip(self.circles, slots[len(self.edges):]) if k])
+        return coloring
 
     # -- validation ----------------------------------------------------------
 
@@ -462,7 +476,8 @@ def validate_coloring(d: PlanarDiagram, coloring: Coloring) -> list[FlowViolatio
     to the color of the edge at flag ``m``.  Unknown edge or circle ids in
     the coloring raise ``DiagramError``.
     """
-    for edge_id, _ in coloring.edges:
+    colors = dict(coloring.edges)
+    for edge_id in colors:
         if edge_id not in d.edge_by_id:
             raise DiagramError(f"coloring mentions missing edge {edge_id}")
     for circle_id, _ in coloring.circles:
@@ -473,7 +488,7 @@ def validate_coloring(d: PlanarDiagram, coloring: Coloring) -> list[FlowViolatio
         values = {}
         for role in ROLES:
             edge, _ = d.edge_at(Flag(v.id, role))
-            values[role] = coloring.edge_value(edge.id)
+            values[role] = colors.get(edge.id, 0)
         if values["l"] + values["r"] != values["m"]:
             violations.append(FlowViolation(v.id, values["l"] + values["r"], values["m"]))
     return violations

@@ -11,10 +11,14 @@ twisted product: substitute ``a = q**n``, multiply the twists ``k = 0`` to
 ``n - 1`` in ascending order, push the result to the flag algebra with
 ``mu``, and read off the coefficient of each flow.  The ``q = 1`` shadow of
 the same structure is a plain convolution power of the cycle indicator
-polynomial, which just counts states.
+polynomial, which just counts states; it is computed on the diagram's
+color-slot vectors, apart from the state sum, so the two stay independent
+routes to the same counts.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .cycles import CycleSet
 from .diagram import Coloring, PlanarDiagram
@@ -22,26 +26,10 @@ from .qexact import QLaurent
 from .qtorus import CycleAlgebra, TorusElement
 
 __all__ = [
-    "classical_cycle_polynomial",
     "classical_series",
     "pochhammer_N",
     "generating_series_N",
 ]
-
-
-def classical_cycle_polynomial(cycle_set: CycleSet) -> dict[Coloring, int]:
-    """Each cycle's indicator coloring with coefficient 1."""
-    return {cycle.indicator_coloring(): 1 for cycle in cycle_set.cycles}
-
-
-def _add_colorings(c1: Coloring, c2: Coloring) -> Coloring:
-    edges = dict(c1.edges)
-    for key, value in c2.edges:
-        edges[key] = edges.get(key, 0) + value
-    circles = dict(c1.circles)
-    for key, value in c2.circles:
-        circles[key] = circles.get(key, 0) + value
-    return Coloring(edges=edges, circles=circles)
 
 
 def classical_series(d: PlanarDiagram, n: int, *, cycle_set: CycleSet | None = None) -> dict[Coloring, int]:
@@ -50,17 +38,17 @@ def classical_series(d: PlanarDiagram, n: int, *, cycle_set: CycleSet | None = N
     The coefficient of a coloring counts the level-``n`` states realizing
     it, so this table matches the ``q = 1`` state-sum evaluations.
     """
-    cs = cycle_set or CycleSet(d)
-    base = classical_cycle_polynomial(cs)
-    table = {Coloring(): 1}
+    held = [set(d.slots(c.edge_ids, c.circle_ids)) for c in cycle_set or CycleSet(d)]
+    base = [[int(i in h) for i in range(d.slot_count)] for h in held]
+    table = {(0,) * d.slot_count: 1}
     for _ in range(n):
-        new: dict[Coloring, int] = {}
-        for c1, m1 in table.items():
-            for c2, m2 in base.items():
-                combined = _add_colorings(c1, c2)
-                new[combined] = new.get(combined, 0) + m1 * m2
+        new: dict[tuple[int, ...], int] = {}
+        for key, count in table.items():
+            for indicator in base:
+                combined = tuple(map(add, key, indicator))
+                new[combined] = new.get(combined, 0) + count
         table = new
-    return table
+    return {d.coloring_of(key): count for key, count in table.items()}
 
 
 def pochhammer_N(ca: CycleAlgebra, n: int) -> TorusElement:

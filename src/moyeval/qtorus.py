@@ -54,7 +54,9 @@ diagram the diagonal ``P[t][t]`` is 0, since a cycle holds at most one of
 ``mu`` works on exponent tuples, reads the table once per pair of
 variables a monomial holds, and shifts each coefficient once.
 ``CycleAlgebra.flow_table`` reads the image of ``mu`` as a table from flow
-colorings to coefficients; it is the only decoder of flag monomials.
+colorings to coefficients; it is the only decoder of flag monomials, and
+it builds each coloring through the diagram's slot decoder, so internal
+colorings are not validated again.
 """
 
 from __future__ import annotations
@@ -249,11 +251,11 @@ class FlagAlgebra:
         For every edge the four entries (z and Z at both endpoints) must
         agree; for every circle the z and Z entries must agree.  Returns
         ``None`` when they do not, i.e. when the monomial is not the image
-        of a flow.
+        of a flow.  The colors fill a slot vector for ``coloring_of``.
         """
-        exps = tuple(exps)
-        edge_colors = {}
-        for e in self.diagram.edges:
+        d = self.diagram
+        slots = [0] * d.slot_count
+        for e in d.edges:
             values = {
                 exps[self.z_index[e.tail]],
                 exps[self.z_index[e.head]],
@@ -262,14 +264,13 @@ class FlagAlgebra:
             }
             if len(values) != 1:
                 return None
-            edge_colors[e.id] = next(iter(values))
-        circle_colors = {}
-        for c in self.diagram.circles:
+            slots[d.edge_slot[e.id]] = values.pop()
+        for c in d.circles:
             z, Z = exps[self.z_circle[c.id]], exps[self.Z_circle[c.id]]
             if z != Z:
                 return None
-            circle_colors[c.id] = z
-        return Coloring(edges=edge_colors, circles=circle_colors)
+            slots[d.circle_slot[c.id]] = z
+        return d.coloring_of(slots)
 
 
 class CycleAlgebra:

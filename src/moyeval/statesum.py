@@ -60,29 +60,30 @@ def _programme(
     """Evaluations of the colorings realized at level ``n``.
 
     With a ``target``, only colorings that exceed it on no edge or circle
-    are kept.  Partial colorings are tuples: edge colors, then circle colors.
+    are kept.  Partial colorings are slot vectors in the diagram's layout
+    (see ``PlanarDiagram``), decoded once at the end.
     """
-    edge_ids = [e.id for e in d.edges]
-    circle_ids = [c.id for c in d.circles]
-    slot = {e: i for i, e in enumerate(edge_ids)}
-    circle_slot = {c: len(edge_ids) + i for i, c in enumerate(circle_ids)}
     cap = None
     if target is not None:
-        cap = [target.edge_value(e) for e in edge_ids] + [target.circle_value(c) for c in circle_ids]
+        cap = [0] * d.slot_count
+        for e, k in target.edges:
+            cap[d.edge_slot[e]] = k
+        for c, k in target.circles:
+            cap[d.circle_slot[c]] = k
 
     def at(vertex: int, role: str) -> int:
-        return slot[d.edge_at(Flag(vertex, role))[0].id]
+        return d.edge_slot[d.edge_at(Flag(vertex, role))[0].id]
 
     moves = [
         (
             cycle.rot,
-            [slot[e] for e in cycle.edge_ids] + [circle_slot[c] for c in cycle.circle_ids],
+            d.slots(cycle.edge_ids, cycle.circle_ids),
             [at(v, "l") for v in cycle.right_at],
             [at(v, "r") for v in cycle.left_at],
         )
         for cycle in cycle_set or CycleSet(d)
     ]
-    layer = {(0,) * (len(slot) + len(circle_slot)): {0: 1}}
+    layer = {(0,) * d.slot_count: {0: 1}}
     for s in doubled_labels(n):
         grown: dict[tuple[int, ...], dict[int, int]] = {}
         for coloring, counts in layer.items():
@@ -97,10 +98,7 @@ def _programme(
                 for exponent, count in counts.items():
                     bucket[exponent + shift] = bucket.get(exponent + shift, 0) + count
         layer = grown
-    return {
-        Coloring(zip(edge_ids, key), zip(circle_ids, key[len(edge_ids):])): QLaurent(counts)
-        for key, counts in layer.items()
-    }
+    return {d.coloring_of(key): QLaurent(counts) for key, counts in layer.items()}
 
 
 def eval_table(

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, error reporting."""
 
+import gc
 import json
 
 import pytest
@@ -30,6 +31,19 @@ def test_format_qlaurent():
 
 
 # -- argument handling --------------------------------------------------------
+
+
+def test_a_warm_call_leaves_no_garbage(capsys):
+    # main reuses one parser, so a repeated command leaves no cyclic
+    # garbage for the collector
+    run(capsys, "table", "theta", "--N", "2")
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, "table", "theta", "--N", "2")[0] == 0
+        assert gc.collect() < 10
+    finally:
+        gc.enable()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -149,15 +149,6 @@ def test_canonical_order_lists_each_cycle_once():
             assert cs[i] is c
 
 
-def test_indicator_coloring():
-    cs = CycleSet(THETA_PLUS_CIRCLE)
-    c = cs[4]  # edges (0, 1) plus circle 7
-    coloring = c.indicator_coloring()
-    assert coloring.edges == ((0, 1), (1, 1))
-    assert coloring.circles == ((7, 1),)
-    assert cs[0].indicator_coloring().edges == ()
-
-
 def test_cycle_identity_ignores_traversal():
     cycles = all_cycles(builtin("theta"))
     by_edges = {tuple(sorted(c.edge_ids)): c for c in cycles}

@@ -1,6 +1,7 @@
 """Diagram model: parsing, serialization, and embedding validation."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -277,8 +278,6 @@ def test_coloring_normalization():
     c = Coloring(edges={0: 2, 3: 0}, circles={1: 1})
     assert c.edges == ((0, 2),)
     assert c.circles == ((1, 1),)
-    assert c.edge_value(3) == 0
-    assert c.circle_value(1) == 1
     assert c.total() == 3
     assert c == Coloring(edges=[(0, 2)], circles=[(1, 1)])
     assert hash(c) == hash(Coloring(edges={0: 2}, circles={1: 1}))
@@ -294,6 +293,27 @@ def test_coloring_rejects_bad_values():
         Coloring(edges={"0": 1})
     with pytest.raises(DiagramError, match="colored twice"):
         Coloring(edges=[(0, 1), (0, 2)])
+
+
+def test_slot_decoder_matches_the_constructor():
+    # edge ids with gaps, given out of order, and edge 3 sharing its id with
+    # circle 3: the layout is edges 3, 7, 12, then circles 0, 3
+    edges = [dict(e, id=i) for e, i in zip(theta_dict()["edges"], (12, 3, 7))]
+    circles = [
+        {"id": 3, "center": [5, 0], "radius": 1, "orientation": "ccw"},
+        {"id": 0, "center": [9, 0], "radius": 1, "orientation": "cw"},
+    ]
+    d = build(edges=edges, circles=circles)
+    assert d.slot_count == 5
+    assert d.slots([12, 3, 7], [3, 0]) == [2, 0, 1, 4, 3]
+    rng = random.Random(10)
+    vectors = [[0] * 5] + [[rng.choice((0, 0, 1, 2, 7)) for _ in range(5)] for _ in range(300)]
+    for slots in vectors:
+        decoded = d.coloring_of(slots)
+        expected = Coloring(edges=dict(zip((3, 7, 12), slots)), circles=dict(zip((0, 3), slots[3:])))
+        assert decoded == expected and expected == decoded
+        assert hash(decoded) == hash(expected)
+        assert (decoded.edges, decoded.circles) == (expected.edges, expected.circles)
 
 
 def test_validate_coloring():

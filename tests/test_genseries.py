@@ -1,27 +1,18 @@
 """Generating-series products: classical counts and their quantum lift."""
 
-from moyeval.cycles import CycleSet
-from moyeval.diagram import Coloring, builtin
-from moyeval.genseries import (
-    classical_cycle_polynomial,
-    classical_series,
-    generating_series_N,
-    pochhammer_N,
-)
+from moyeval.diagram import Coloring, builtin, parse_diagram
+from moyeval.genseries import classical_series, generating_series_N, pochhammer_N
 from moyeval.qexact import QLaurent
 from moyeval.qtorus import CycleAlgebra
 from moyeval.statesum import classical_eval, eval_table
+from test_statesum import THETA_AND_CIRCLE
 
 FIXTURES = ("unknot", "theta", "tetrahedron")
 
 
-def test_classical_cycle_polynomial():
-    cs = CycleSet(builtin("theta"))
-    assert classical_cycle_polynomial(cs) == {
-        Coloring(): 1,
-        Coloring(edges={0: 1, 1: 1}): 1,
-        Coloring(edges={0: 1, 2: 1}): 1,
-    }
+def _diagrams():
+    # the built-ins, and one diagram where edge 0 and circle 0 share an id
+    return [builtin(name) for name in FIXTURES] + [parse_diagram(THETA_AND_CIRCLE)]
 
 
 def test_classical_series_unknot():
@@ -41,8 +32,7 @@ def test_classical_series_counts_ordered_factorizations():
 
 
 def test_classical_series_matches_state_counts():
-    for name in FIXTURES:
-        d = builtin(name)
+    for d in _diagrams():
         for n in range(4):
             series = classical_series(d, n)
             table = eval_table(d, n)
@@ -70,8 +60,7 @@ def test_pochhammer_levels():
 
 
 def test_generating_series_matches_state_sum():
-    for name in FIXTURES:
-        d = builtin(name)
+    for d in _diagrams():
         ca = CycleAlgebra(d)
         for n in range(4):
             series = generating_series_N(d, n, cycle_algebra=ca)

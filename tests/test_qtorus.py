@@ -197,7 +197,8 @@ def test_cycle_monomial_and_flow():
         assert img == TorusElement.monomial(fa.signature, fa.cycle_exponents(cycle), QLaurent.one())
         (exps,) = img.terms
         assert img.terms[exps] == QLaurent.one()
-        assert fa.flow_of_monomial(exps) == cycle.indicator_coloring()
+        indicator = Coloring(edges={e: 1 for e in cycle.edge_ids}, circles={c: 1 for c in cycle.circle_ids})
+        assert fa.flow_of_monomial(exps) == indicator
         # both variables of every flag on the cycle appear exactly once
         for flag in cycle.halfedges:
             assert exps[fa.z_index[flag]] == 1

@@ -8,6 +8,8 @@ import pytest
 import moyeval.cycles
 from moyeval.cycles import CycleSet
 from moyeval.diagram import Coloring, DiagramError, PlanarDiagram, builtin, parse_diagram
+from moyeval.genseries import classical_series, generating_series_N
+from moyeval.homfly import homfly_series
 from moyeval.qexact import QLaurent, qbinom, qmultinom
 from moyeval.statesum import (
     classical_eval,
@@ -176,6 +178,31 @@ def test_the_state_sum_computes_no_pairing(monkeypatch):
     cs = CycleSet(d)
     assert cs.pairing2 is cs.pairing2
     assert len(calls) == len(cs) ** 2
+
+
+def test_internal_routes_validate_no_coloring(monkeypatch):
+    # internal colorings come from the diagram's slot decoder; only input
+    # from outside goes through the validating constructor
+    calls = []
+    original = Coloring._normalize
+
+    def counting(values, what):
+        calls.append(what)
+        return original(values, what)
+
+    monkeypatch.setattr(Coloring, "_normalize", staticmethod(counting))
+    for name in FIXTURES:
+        d = builtin(name)
+        table = eval_table(d, 3)
+        for coloring in table:
+            moy_eval(d, coloring, 3)
+        assert generating_series_N(d, 3) == table
+        assert len(classical_series(d, 3)) == len(table)
+        if CycleSet(d).is_positive:
+            assert homfly_series(d, 2, 12).table
+    assert calls == []
+    Coloring(edges={0: 1})
+    assert calls == ["edge", "circle"]
 
 
 def test_values_are_symmetric_nonnegative_half_powers():
