@@ -8,12 +8,13 @@ of the cycle algebra (the empty cycle contributes the constant term 1).
 Twisting by ``k`` multiplies the ``x_C`` coefficient by ``v**(4 k rot C)``.
 The level-``n`` evaluation table of the diagram is recovered as a finite
 twisted product: substitute ``a = q**n``, multiply the twists ``k = 0`` to
-``n - 1`` in ascending order, push the result to the flag algebra with
-``mu``, and read off the coefficient of each flow.  The ``q = 1`` shadow of
-the same structure is a plain convolution power of the cycle indicator
-polynomial, which just counts states; it is computed on the diagram's
-color-slot vectors, apart from the state sum, so the two stay independent
-routes to the same counts.
+``n - 1`` in ascending order, and read the coefficient of each flow off
+the image of the result (``CycleAlgebra.flow_table``, which sums the
+cycles' color slots where ``mu`` sums their flag variables).  The
+``q = 1`` shadow of the same structure is a plain convolution power of
+the cycle indicator polynomial, which just counts states; it is computed
+on the diagram's color-slot vectors, apart from the state sum, so the two
+stay independent routes to the same counts.
 """
 
 from __future__ import annotations

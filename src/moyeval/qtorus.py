@@ -51,12 +51,15 @@ in the K x K table ``P[l][t]`` of normal-ordering shifts of ``f_l``
 against ``f_t`` (``CycleAlgebra.image_shifts``, built on first use).  On a
 diagram the diagonal ``P[t][t]`` is 0, since a cycle holds at most one of
 ``l`` and ``r`` at each vertex, but the form holds for any flag skew.  So
-``mu`` works on exponent tuples, reads the table once per pair of
+the image works on exponent tuples, reads the table once per pair of
 variables a monomial holds, and shifts each coefficient once.
-``CycleAlgebra.flow_table`` reads the image of ``mu`` as a table from flow
-colorings to coefficients; it is the only decoder of flag monomials, and
-it builds each coloring through the diagram's slot decoder, so internal
-colorings are not validated again.
+
+That sum of supports is the flow ``sum_t alpha_t slots(C_t)`` in another
+coordinate system: the flag monomial of a flow holds its color at both
+ends of every edge, twice.  ``CycleAlgebra.flow_table`` therefore runs the
+same loop on each cycle's color slots in the diagram's layout and decodes
+each slot vector once with ``PlanarDiagram.coloring_of``; it never builds
+a flag monomial, and internal colorings are not validated again.
 """
 
 from __future__ import annotations
@@ -210,7 +213,6 @@ class FlagAlgebra:
     """
 
     def __init__(self, d: PlanarDiagram):
-        self.diagram = d
         names: list[str] = []
         self.z_index: dict[Flag, int] = {}
         self.Z_index: dict[Flag, int] = {}
@@ -245,33 +247,6 @@ class FlagAlgebra:
             exps[self.Z_circle[circle_id]] += 1
         return tuple(exps)
 
-    def flow_of_monomial(self, exps: Sequence[int]) -> Coloring | None:
-        """Read a monomial's exponents as an edge/circle coloring.
-
-        For every edge the four entries (z and Z at both endpoints) must
-        agree; for every circle the z and Z entries must agree.  Returns
-        ``None`` when they do not, i.e. when the monomial is not the image
-        of a flow.  The colors fill a slot vector for ``coloring_of``.
-        """
-        d = self.diagram
-        slots = [0] * d.slot_count
-        for e in d.edges:
-            values = {
-                exps[self.z_index[e.tail]],
-                exps[self.z_index[e.head]],
-                exps[self.Z_index[e.tail]],
-                exps[self.Z_index[e.head]],
-            }
-            if len(values) != 1:
-                return None
-            slots[d.edge_slot[e.id]] = values.pop()
-        for c in d.circles:
-            z, Z = exps[self.z_circle[c.id]], exps[self.Z_circle[c.id]]
-            if z != Z:
-                return None
-            slots[d.circle_slot[c.id]] = z
-        return d.coloring_of(slots)
-
 
 class CycleAlgebra:
     """The cycle-side quantum torus: one variable per nonempty cycle."""
@@ -289,9 +264,6 @@ class CycleAlgebra:
         self.rots = tuple(cycle.rot for cycle in self.variables)
         self.flag_algebra = FlagAlgebra(d)
         self._image_exps = tuple(self.flag_algebra.cycle_exponents(c) for c in self.variables)
-        self._image_support = tuple(
-            tuple((f, e) for f, e in enumerate(image) if e) for image in self._image_exps
-        )
 
     def variable(self, index: int, coeff=None) -> TorusElement:
         """The monomial for variable ``index`` (0-based over nonempty cycles)."""
@@ -312,17 +284,19 @@ class CycleAlgebra:
         images = self._image_exps
         return tuple(tuple(_mul_exps(flag_sig, a, b)[0] for b in images) for a in images)
 
-    def mu(self, element: TorusElement) -> TorusElement:
-        """Apply the flag substitution homomorphism to a cycle-side element.
+    def _image(self, element: TorusElement, supports: Sequence[Sequence[int]], size: int) -> dict:
+        """``{sum_t alpha_t * supports[t]: coeff * v**phi(alpha)}`` over the
+        terms ``coeff * x**alpha`` of ``element``, as exponent tuples of
+        length ``size``; ``supports[t]`` lists the indices variable ``t``
+        raises by one (an index may repeat).
 
         Each term is read in one pass over the nonzero exponents of its
         monomial, through the quadratic form in ``image_shifts`` that the
-        module docstring states.
+        module docstring states.  Terms with equal keys are added.
         """
         if element.signature != self.signature:
             raise ValueError("element does not belong to this cycle algebra")
-        table, supports = self.image_shifts, self._image_support
-        size = len(self.flag_algebra.signature)
+        table = self.image_shifts
         out: dict[tuple[int, ...], object] = {}
         for exps, coeff in element.terms.items():
             support = [(t, a) for t, a in enumerate(exps) if a]
@@ -331,21 +305,26 @@ class CycleAlgebra:
                 shift += a * (a - 1) // 2 * table[t][t]
                 for l, b in support[:n]:
                     shift += b * a * table[l][t]
-                for f, e in supports[t]:
-                    image[f] += a * e
+                for i in supports[t]:
+                    image[i] += a
             _iadd(out, tuple(image), coeff.times_v(shift))
-        return TorusElement(self.flag_algebra.signature, out)
+        return out
 
-    def flow_table(self, element: TorusElement) -> dict:
-        """``mu(element)`` read as a table from flow colorings to coefficients.
+    def mu(self, element: TorusElement) -> TorusElement:
+        """Apply the flag substitution homomorphism to a cycle-side element."""
+        supports = [[f for f, e in enumerate(image) for _ in range(e)] for image in self._image_exps]
+        flag_sig = self.flag_algebra.signature
+        return TorusElement(flag_sig, self._image(element, supports, len(flag_sig)))
 
-        This is the one place where flag monomials become colorings.  A
-        flow's monomial is fixed by its coloring, so distinct terms of the
-        image give distinct colorings and no two of them merge.
+    def flow_table(self, element: TorusElement) -> dict[Coloring, object]:
+        """The image of ``element`` as a table from flow colorings to coefficients.
+
+        It is the image under ``mu``, keyed by the flow instead of its flag
+        monomial.  Keys are built as slot vectors, so each coloring
+        is decoded once; a flag monomial and its flow fix each other, so
+        the terms add up exactly as they do in ``mu``.
         """
-        table: dict[Coloring, object] = {}
-        for exps, coeff in self.mu(element).terms.items():
-            coloring = self.flag_algebra.flow_of_monomial(exps)
-            assert coloring is not None, "cycle-algebra product produced a non-flow monomial"
-            table[coloring] = coeff
-        return table
+        d = self.diagram
+        supports = [d.slots(c.edge_ids, c.circle_ids) for c in self.variables]
+        image = self._image(element, supports, d.slot_count)
+        return {d.coloring_of(key): coeff for key, coeff in image.items()}

@@ -55,21 +55,14 @@ def _programme(
     d: PlanarDiagram,
     cycle_set: CycleSet | None,
     n: int,
-    target: Coloring | None = None,
-) -> dict[Coloring, QLaurent]:
-    """Evaluations of the colorings realized at level ``n``.
+    cap: list[int] | None = None,
+) -> dict[tuple[int, ...], dict[int, int]]:
+    """Exponent counts of the colorings realized at level ``n``, keyed by
+    their slot vectors in the diagram's layout (see ``PlanarDiagram``).
 
-    With a ``target``, only colorings that exceed it on no edge or circle
-    are kept.  Partial colorings are slot vectors in the diagram's layout
-    (see ``PlanarDiagram``), decoded once at the end.
+    With a ``cap`` slot vector, only colorings that exceed it in no slot
+    are kept.
     """
-    cap = None
-    if target is not None:
-        cap = [0] * d.slot_count
-        for e, k in target.edges:
-            cap[d.edge_slot[e]] = k
-        for c, k in target.circles:
-            cap[d.circle_slot[c]] = k
 
     def at(vertex: int, role: str) -> int:
         return d.edge_slot[d.edge_at(Flag(vertex, role))[0].id]
@@ -98,7 +91,7 @@ def _programme(
                 for exponent, count in counts.items():
                     bucket[exponent + shift] = bucket.get(exponent + shift, 0) + count
         layer = grown
-    return {d.coloring_of(key): QLaurent(counts) for key, counts in layer.items()}
+    return layer
 
 
 def eval_table(
@@ -108,7 +101,7 @@ def eval_table(
     cycle_set: CycleSet | None = None,
 ) -> dict[Coloring, QLaurent]:
     """Evaluations of all colorings realized at level ``n``, by state sum."""
-    return _programme(d, cycle_set, n)
+    return {d.coloring_of(key): QLaurent(counts) for key, counts in _programme(d, cycle_set, n).items()}
 
 
 def _require_flow(d: PlanarDiagram, coloring: Coloring) -> None:
@@ -134,7 +127,12 @@ def moy_eval(
     instance colors larger than ``n``) evaluate to zero.
     """
     _require_flow(d, coloring)
-    return _programme(d, cycle_set, n, coloring).get(coloring, QLaurent.zero())
+    cap = [0] * d.slot_count
+    for e, k in coloring.edges:
+        cap[d.edge_slot[e]] = k
+    for c, k in coloring.circles:
+        cap[d.circle_slot[c]] = k
+    return QLaurent(_programme(d, cycle_set, n, cap).get(tuple(cap), {}))
 
 
 def eval_table_alt(

@@ -1,5 +1,5 @@
-"""Every exported name resolves, in the package and in each submodule, and
-every imported name is used."""
+"""Every exported name resolves, in the package and in each submodule,
+every imported name is used, and every private name has a caller."""
 
 import ast
 import importlib
@@ -33,3 +33,40 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(imported - used - set(module.__all__))
         assert not unused, (module.__name__, unused)
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_every_private_name_is_referenced():
+    # a private name defined at module or class level must be read somewhere
+    # in the package outside its own definition, so removals leave no leftovers
+    trees = {module.__name__: ast.parse(Path(module.__file__).read_text()) for module in MODULES}
+    definitions = []
+    for name, tree in trees.items():
+        scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for body in scopes:
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+                else:
+                    continue
+                definitions += [(name, private, node) for private in defined if _is_private(private)]
+    reads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                reads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                reads.setdefault(node.attr, []).append(node)
+    assert definitions
+    unreferenced = []
+    for module_name, private, node in definitions:
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(id(read) not in inside for read in reads.get(private, ())):
+            unreferenced.append((module_name, private))
+    assert not unreferenced, unreferenced

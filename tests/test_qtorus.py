@@ -17,7 +17,7 @@ from moyeval.qtorus import (
     _mul_exps,
     torus_mul,
 )
-from test_statesum import TWO_THETAS
+from test_statesum import CIRCLE_PLACES, TWO_THETAS, theta_with_circles
 
 FIXTURES = ("unknot", "theta", "tetrahedron")
 
@@ -188,6 +188,25 @@ def test_flag_commutation_relations():
     assert torus_mul(z_r, w) == torus_mul(w, z_r)
 
 
+def decode_flag_monomial(d, fa, exps):
+    """Reference decoder: a flag monomial read as a coloring, or ``None``
+    when the four entries of an edge (z and Z at both ends) or the two of a
+    circle disagree, i.e. when the monomial is the image of no flow."""
+    edges, circles = {}, {}
+    for e in d.edges:
+        values = {exps[fa.z_index[e.tail]], exps[fa.z_index[e.head]],
+                  exps[fa.Z_index[e.tail]], exps[fa.Z_index[e.head]]}
+        if len(values) != 1:
+            return None
+        edges[e.id] = values.pop()
+    for c in d.circles:
+        z, Z = exps[fa.z_circle[c.id]], exps[fa.Z_circle[c.id]]
+        if z != Z:
+            return None
+        circles[c.id] = z
+    return Coloring(edges, circles)
+
+
 def test_cycle_monomial_and_flow():
     d = builtin("theta")
     fa = FlagAlgebra(d)
@@ -198,38 +217,79 @@ def test_cycle_monomial_and_flow():
         (exps,) = img.terms
         assert img.terms[exps] == QLaurent.one()
         indicator = Coloring(edges={e: 1 for e in cycle.edge_ids}, circles={c: 1 for c in cycle.circle_ids})
-        assert fa.flow_of_monomial(exps) == indicator
+        assert ca.flow_table(ca.variable(i)) == {indicator: QLaurent.one()}
         # both variables of every flag on the cycle appear exactly once
         for flag in cycle.halfedges:
             assert exps[fa.z_index[flag]] == 1
             assert exps[fa.Z_index[flag]] == 1
 
 
-def test_flow_of_monomial_circle():
-    fa = FlagAlgebra(builtin("unknot"))
-    assert fa.flow_of_monomial((3, 3)) == Coloring(circles={0: 3})
-    assert fa.flow_of_monomial((2, 3)) is None
-    assert fa.flow_of_monomial((0, 0)) == Coloring()
-
-
-def test_flow_of_monomial_rejects_unbalanced_edges():
-    d = builtin("theta")
-    fa = FlagAlgebra(d)
-    ca = CycleAlgebra(d)
-    (exps,) = ca.mu(ca.variable(0)).terms
-    bumped = list(exps)
-    bumped[fa.z_index[Flag(0, "l")]] += 1
-    assert fa.flow_of_monomial(tuple(bumped)) is None
-
-
 def test_flow_of_product_adds_indicators():
     ca = CycleAlgebra(builtin("tetrahedron"))
     keys = [tuple(sorted(c.edge_ids)) for c in ca.variables]
     r, g = keys.index((0, 1, 4, 5)), keys.index((0, 1, 3))
+    flow = Coloring(edges={0: 2, 1: 2, 3: 1, 4: 1, 5: 1})
     product = torus_mul(ca.mu(ca.variable(r)), ca.mu(ca.variable(g)))
     (exps,) = product.terms
-    flow = ca.flag_algebra.flow_of_monomial(exps)
-    assert flow == Coloring(edges={0: 2, 1: 2, 3: 1, 4: 1, 5: 1})
+    assert decode_flag_monomial(ca.diagram, ca.flag_algebra, exps) == flow
+    assert set(ca.flow_table(torus_mul(ca.variable(r), ca.variable(g)))) == {flow}
+
+
+def test_flow_table_is_mu_decoded():
+    # flow_table sums color slots where mu sums flag variables; decoding
+    # mu's image with the reference decoder must give the same table
+    d = builtin("unknot")
+    fa = FlagAlgebra(d)
+    assert decode_flag_monomial(d, fa, (3, 3)) == Coloring(circles={0: 3})
+    assert decode_flag_monomial(d, fa, (2, 3)) is None
+    assert decode_flag_monomial(d, fa, (0, 0)) == Coloring()
+    d = builtin("theta")
+    fa = FlagAlgebra(d)
+    bumped = list(fa.cycle_exponents(CycleAlgebra(d).variables[0]))
+    bumped[fa.z_index[Flag(0, "l")]] += 1
+    assert decode_flag_monomial(d, fa, bumped) is None
+
+    center, radius = CIRCLE_PLACES["inner face left of edge 1"]
+    diagrams = [builtin(name) for name in FIXTURES]
+    diagrams += [parse_diagram(TWO_THETAS), theta_with_circles((center, radius, "cw"))]
+    rng = random.Random(4129)
+    for d in diagrams:
+        ca = CycleAlgebra(d)
+        k = len(ca.signature)
+        for _ in range(10):
+            terms = {}
+            for _ in range(rng.randrange(1, 7)):
+                alpha = tuple(rng.randrange(0, 4) if rng.random() < 0.6 else 0 for _ in range(k))
+                v, c = rng.randrange(-6, 7), rng.randrange(-3, 4)
+                terms[alpha] = (QLaurent({v: c}), TruncatedRSeries(30, {(v, -1): c}))
+            for ring in (0, 1):
+                element = TorusElement(ca.signature, {a: pair[ring] for a, pair in terms.items()})
+                decoded = {}
+                for exps, coeff in ca.mu(element).terms.items():
+                    coloring = decode_flag_monomial(d, ca.flag_algebra, exps)
+                    assert coloring is not None and coloring not in decoded
+                    decoded[coloring] = coeff
+                assert ca.flow_table(element) == decoded
+
+
+def test_image_shifts_are_the_doubled_pairing():
+    """``image_shifts[l][t] == 2 <C_l, C_t>`` entry by entry.
+
+    Below the diagonal the flag skew has only ``c(z_r, z_l) = -1`` and
+    ``c(Z_l, Z_r) = 1`` within each vertex, and circles commute with
+    everything.  A cycle holds z and Z of its flags together, so the shift
+    of ``f_l`` against ``f_t`` counts the vertices where ``C_l`` holds ``l``
+    and ``C_t`` holds ``r`` (the Z pair), minus those where ``C_l`` holds
+    ``r`` and ``C_t`` holds ``l`` (the z pair): that is ``pairing_doubled``.
+    ``check --suite mu`` compares only the antisymmetric part.
+    """
+    diagrams = [builtin(name) for name in FIXTURES] + [parse_diagram(TWO_THETAS)]
+    for d in diagrams:
+        ca = CycleAlgebra(d)
+        k = len(ca.variables)
+        for l in range(k):
+            for t in range(k):
+                assert ca.image_shifts[l][t] == ca.cycle_set.pairing2[l + 1][t + 1], (l, t)
 
 
 # -- the map mu ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """State-sum evaluation of colored diagrams."""
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -43,6 +44,24 @@ TWO_THETAS = """{
             {"id": 4, "tail": [2, "l"], "head": [3, "l"]},
             {"id": 5, "tail": [2, "r"], "head": [3, "r"], "waypoints": [[11, 0]]}]
 }"""
+
+
+# where a circle fits in the built-in theta: (center, radius), the radius
+# leaving room for a second circle of half the radius inside it
+CIRCLE_PLACES = {
+    "inner face left of edge 1": (("-4/5", 0), "2/5"),
+    "inner face right of edge 1": (("2/5", 0), "1/5"),
+    "outer face": ((5, 0), 1),
+}
+
+
+def theta_with_circles(*circles):
+    """The built-in theta plus circles given as ``(center, radius, orientation)``."""
+    theta = builtin("theta")
+    return PlanarDiagram(theta.vertices, theta.edges, [
+        {"id": i, "center": center, "radius": radius, "orientation": orientation}
+        for i, (center, radius, orientation) in enumerate(circles)
+    ])
 
 
 def test_doubled_labels():
@@ -138,6 +157,42 @@ def test_disjoint_unions_match_the_reference_and_multiply():
             table = eval_table(union, n)
             assert table == eval_table_alt(union, n), n
             assert table == _product_table(eval_table(left, n), eval_table(right, n)), n
+
+
+def test_circles_in_faces_multiply_by_binomials():
+    # a circle of color k multiplies the evaluation by qbinom(n, k) wherever
+    # it lies and however it turns; nested circles by one binomial each
+    theta = builtin("theta")
+    cases = [[(center, radius, o)] for center, radius in CIRCLE_PLACES.values() for o in ("ccw", "cw")]
+    center, radius = CIRCLE_PLACES["inner face left of edge 1"]
+    cases += [[(center, radius, outer), (center, Fraction(radius) / 2, inner)]
+              for outer, inner in product(("ccw", "cw"), repeat=2)]
+    for n in (2, 3):
+        bare = eval_table(theta, n)
+        for circles in cases:
+            d = theta_with_circles(*circles)
+            expected = {}
+            for colors in product(range(n + 1), repeat=len(circles)):
+                factor = math.prod((qbinom(n, k) for k in colors), start=QLaurent.one())
+                for coloring, value in bare.items():
+                    expected[Coloring(coloring.edges, enumerate(colors))] = value * factor
+            assert eval_table(d, n) == expected, (n, circles)
+            assert generating_series_N(d, n) == expected, (n, circles)
+
+
+def test_moy_eval_decodes_only_its_target(monkeypatch):
+    calls = []
+    original = PlanarDiagram.coloring_of
+
+    def counting(self, slots):
+        calls.append(tuple(slots))
+        return original(self, slots)
+
+    monkeypatch.setattr(PlanarDiagram, "coloring_of", counting)
+    d = parse_diagram(TWO_THETAS)
+    coloring = Coloring(edges={0: 2, 1: 1, 2: 1, 3: 1, 4: 1})
+    assert moy_eval(d, coloring, 3) == qbinom(3, 2) * qbinom(2, 1) * qbinom(3, 1)
+    assert len(calls) <= 1
 
 
 def test_eval_table_matches_pointwise_evaluation():
