@@ -235,20 +235,35 @@ def test_flow_of_product_adds_indicators():
     assert set(ca.flow_table(torus_mul(ca.variable(r), ca.variable(g)))) == {flow}
 
 
-def test_flow_table_is_mu_decoded():
-    # flow_table sums color slots where mu sums flag variables; decoding
-    # mu's image with the reference decoder must give the same table
+def test_flow_of_monomial_circle():
     d = builtin("unknot")
     fa = FlagAlgebra(d)
     assert decode_flag_monomial(d, fa, (3, 3)) == Coloring(circles={0: 3})
     assert decode_flag_monomial(d, fa, (2, 3)) is None
     assert decode_flag_monomial(d, fa, (0, 0)) == Coloring()
+    ca = CycleAlgebra(d)
+    cube = TorusElement.monomial(ca.signature, (3,), QLaurent.one())
+    (exps,) = ca.mu(cube).terms
+    assert exps == (3, 3)
+    assert ca.flow_table(cube) == {Coloring(circles={0: 3}): QLaurent.one()}
+
+
+def test_flow_of_monomial_rejects_unbalanced_edges():
     d = builtin("theta")
     fa = FlagAlgebra(d)
-    bumped = list(fa.cycle_exponents(CycleAlgebra(d).variables[0]))
+    ca = CycleAlgebra(d)
+    (exps,) = ca.mu(ca.variable(0)).terms
+    assert decode_flag_monomial(d, fa, exps) is not None
+    bumped = list(exps)
     bumped[fa.z_index[Flag(0, "l")]] += 1
-    assert decode_flag_monomial(d, fa, bumped) is None
+    assert decode_flag_monomial(d, fa, tuple(bumped)) is None
+    # the slot-built table holds only flows, one per term of the image
+    assert list(ca.flow_table(ca.variable(0))) == [decode_flag_monomial(d, fa, exps)]
 
+
+def test_flow_table_is_mu_decoded():
+    # flow_table sums color slots where mu sums flag variables; decoding
+    # mu's image with the reference decoder must give the same table
     center, radius = CIRCLE_PLACES["inner face left of edge 1"]
     diagrams = [builtin(name) for name in FIXTURES]
     diagrams += [parse_diagram(TWO_THETAS), theta_with_circles((center, radius, "cw"))]
