@@ -24,7 +24,7 @@ from operator import add
 from .cycles import CycleSet
 from .diagram import Coloring, PlanarDiagram
 from .qexact import QLaurent
-from .qtorus import CycleAlgebra, TorusElement
+from .qtorus import CycleAlgebra, TorusElement, _mul_linear
 
 __all__ = [
     "classical_series",
@@ -59,15 +59,9 @@ def pochhammer_N(ca: CycleAlgebra, n: int) -> TorusElement:
     ascending order; coefficients are plain ``QLaurent`` since ``a`` has
     been substituted.
     """
-    zero_exps = (0,) * len(ca.signature)
-    acc = TorusElement.monomial(ca.signature, zero_exps, QLaurent.one())
+    acc = TorusElement.monomial(ca.signature, (0,) * len(ca.signature), QLaurent.one())
     for k in range(n):
-        terms = {zero_exps: QLaurent.one()}
-        for index, rot in enumerate(ca.rots):
-            exps = [0] * len(ca.signature)
-            exps[index] = 1
-            terms[tuple(exps)] = QLaurent.monomial((2 + 4 * k - 2 * n) * rot)
-        acc = acc * TorusElement(ca.signature, terms)
+        acc = _mul_linear(acc, [QLaurent.monomial((2 + 4 * k - 2 * n) * rot) for rot in ca.rots])
     return acc
 
 

@@ -16,7 +16,12 @@ form a two-sided ideal and dropping them is exact.  Products therefore split
 each factor into its homogeneous pieces by x-degree (``_graded``) and form
 only the pairs whose degrees sum to at most the bound, and ``series_invert``
 solves for the inverse one degree at a time from the same pieces instead of
-summing a Neumann series of full products.
+summing a Neumann series of full products.  Both feed all their pairs into
+one raw accumulator (``moyeval.qtorus._accumulate``) and clean it once.
+``_poch_inf`` multiplies by each twist factor through the linear-factor
+kernel ``moyeval.qtorus._mul_linear``, capped at the x-degree bound, so no
+factor is built as a series; ``check_shift`` still builds its two single
+linear factors with ``_linear_factor``.
 
 The HOMFLY series of the diagram is
 
@@ -51,7 +56,7 @@ from typing import NamedTuple, Sequence
 
 from .diagram import Coloring, DiagramError, PlanarDiagram, format_coloring
 from .qexact import QLaurent, TruncatedRSeries, _Terms
-from .qtorus import CycleAlgebra, TorusElement, torus_mul
+from .qtorus import CycleAlgebra, TorusElement, _accumulate, _mul_linear, _settle
 from .statesum import eval_table
 
 __all__ = [
@@ -114,6 +119,7 @@ class TruncatedTorusSeries(_Terms):
         return self.element.terms
 
     def _check(self, other: "TruncatedTorusSeries") -> None:
+        self.element._check(other.element)
         if self.x_degree != other.x_degree:
             raise ValueError(f"x-degree bound mismatch: {self.x_degree} != {other.x_degree}")
         if self.q_order != other.q_order:
@@ -136,12 +142,13 @@ class TruncatedTorusSeries(_Terms):
             return NotImplemented
         self._check(other)
         left = _graded(self)
-        out = below = TorusElement.zero(self.element.signature)
+        acc: dict = {}
+        below: dict = {}  # the terms of other of x-degree <= k
         for k, piece in enumerate(_graded(other)):
-            below = below + piece  # the terms of other of x-degree <= k
+            below.update(piece)
             if left[self.x_degree - k]:
-                out = out + torus_mul(left[self.x_degree - k], below)
-        return self._like(out.terms)
+                _accumulate(acc, self.element.signature, left[self.x_degree - k], below)
+        return self._like(_settle(acc, self.terms))
 
     def shift_a(self, delta: int) -> "TruncatedTorusSeries":
         """Apply ``a -> q**delta * a`` to every coefficient.
@@ -178,12 +185,12 @@ class TruncatedTorusSeries(_Terms):
         )
 
 
-def _graded(s: TruncatedTorusSeries) -> list[TorusElement]:
+def _graded(s: TruncatedTorusSeries) -> list[dict]:
     """The homogeneous pieces of ``s``: entry ``d`` holds its terms of x-degree ``d``."""
     pieces: list[dict] = [{} for _ in range(s.x_degree + 1)]
-    for exps, coeff in s.element.terms.items():
+    for exps, coeff in s.terms.items():
         pieces[sum(exps)][exps] = coeff
-    return [s.element._like(piece) for piece in pieces]
+    return pieces
 
 
 def _linear_factor(
@@ -285,10 +292,12 @@ def _poch_inf(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int)
             "(every circuit must have rotation +1)"
         )
     cutoff = max(0, (q_order - e_v) // 4 + 1)
-    acc = TruncatedTorusSeries.one(ca, x_degree, q_order)
+    one = TruncatedTorusSeries.one(ca, x_degree, q_order)
+    acc = one.element
     for k in range(cutoff):
-        acc = acc * _linear_factor(ca, e_v, e_b, k, x_degree, q_order)
-    return acc
+        coeffs = [TruncatedRSeries.monomial(q_order, (e_v + 4 * k) * rot, e_b * rot) for rot in ca.rots]
+        acc = _mul_linear(acc, coeffs, x_degree)
+    return one._like(acc.terms)
 
 
 def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
@@ -307,13 +316,17 @@ def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
     if s.constant_term() != TruncatedRSeries.one(s.q_order):
         raise ValueError("series is not invertible here: constant term must be exactly 1")
     pieces = _graded(s)
+    negated = [{exps: -coeff for exps, coeff in piece.items()} for piece in pieces]
     inverse = pieces[:1]
     for d in range(1, s.x_degree + 1):
-        total = TorusElement.zero(s.element.signature)
+        acc: dict = {}
         for j in range(1, d + 1):
-            total = total + torus_mul(inverse[d - j], pieces[j])
-        inverse.append(-total)
-    return s._like(sum(inverse[1:], inverse[0]).terms)
+            _accumulate(acc, s.element.signature, inverse[d - j], negated[j])
+        inverse.append(_settle(acc, s.terms))
+    terms: dict = {}
+    for piece in inverse:
+        terms.update(piece)
+    return s._like(terms)
 
 
 def _assemble(

@@ -27,11 +27,15 @@ in one operation.
 Both rings, and the quantum-torus elements and truncated torus series
 over them, are sparse term maps built on one private base, ``_Terms``:
 truth testing, equality, ``+``, ``-`` and negation are written there
-once, and ``_iadd`` is the one rule for adding into a term map.  Terms
-are cleaned once, on entry: each public constructor drops zero
+once.  Terms are cleaned once: each public constructor drops zero
 coefficients and terms outside its bounds, and results that cannot leave
 a bound or empty a coefficient are built by ``_like`` without a second
-pass.
+pass.  Products accumulate raw and clean once in place: each ring's one
+product loop, ``_addmul(dest, other, shift)``, adds
+``self * other * v**shift`` into a raw term map and leaves zeros there,
+and ``_drop_zeros`` then deletes them from that same map before
+``_like`` wraps it.  The quantum-torus products feed all their
+coefficient pairs into such raw maps, so no ring value is built per pair.
 
 On top of ``QLaurent`` the usual quantum combinatorics are defined:
 ``qint``, ``qfact``, ``qbinom`` and ``qmultinom``.  Division is performed
@@ -72,6 +76,13 @@ def _iadd(dest: dict, key, coeff) -> None:
         dest[key] = new
     else:
         dest.pop(key, None)
+
+
+def _drop_zeros(raw: dict) -> dict:
+    """Delete the zero coefficients of a raw term map in place; return it."""
+    for key in [key for key, coeff in raw.items() if not coeff]:
+        del raw[key]
+    return raw
 
 
 class _Terms:
@@ -157,10 +168,17 @@ class QLaurent(_Terms):
         if not isinstance(other, QLaurent):
             return NotImplemented
         out: dict[int, int] = {}
+        self._addmul(out, other, 0)
+        return self._like(_drop_zeros(out))
+
+    def _addmul(self, dest: dict[int, int], other: "QLaurent", shift: int) -> None:
+        """Add ``self * other * v**shift`` into the raw map ``dest``, zeros left in place."""
+        get = dest.get
         for e1, c1 in self.terms.items():
+            base = e1 + shift
             for e2, c2 in other.terms.items():
-                _iadd(out, e1 + e2, c1 * c2)
-        return self._like(out)
+                key = base + e2
+                dest[key] = get(key, 0) + c1 * c2
 
     def times_v(self, k: int) -> "QLaurent":
         """Multiply by the monomial ``v**k``."""
@@ -322,15 +340,28 @@ class TruncatedRSeries(_Terms):
     def __mul__(self, other) -> "TruncatedRSeries":
         if not isinstance(other, TruncatedRSeries):
             return NotImplemented
-        self._check(other)
-        bound = self.q_order
         out: dict[tuple[int, int], int] = {}
+        self._addmul(out, other, 0)
+        return self._like(_drop_zeros(out))
+
+    def _addmul(self, dest: dict[tuple[int, int], int], other: "TruncatedRSeries", shift: int) -> None:
+        """Add ``self * other * v**shift`` into the raw map ``dest``, zeros left in place.
+
+        A pair is dropped before the shift: it is kept only when both
+        ``v1 + v2`` and ``v1 + v2 + shift`` are within the bound, so a
+        negative shift brings back no pair the product ``self * other``
+        drops.  ``moyeval.homfly._headroom`` proves its margin for this
+        rule.
+        """
+        self._check(other)
+        top = self.q_order - max(shift, 0)
+        get = dest.get
         for (v1, b1), c1 in self.terms.items():
             for (v2, b2), c2 in other.terms.items():
                 ve = v1 + v2
-                if ve <= bound:
-                    _iadd(out, (ve, b1 + b2), c1 * c2)
-        return self._like(out)
+                if ve <= top:
+                    key = (ve + shift, b1 + b2)
+                    dest[key] = get(key, 0) + c1 * c2
 
     def times_v(self, k: int) -> "TruncatedRSeries":
         if k == 0:

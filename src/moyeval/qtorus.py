@@ -12,18 +12,25 @@ of each row once (``TorusSignature.lower``), and ``_mul_exps`` reads only
 those: the flag skew has two of them per vertex.
 
 Coefficients are values of one exact ring from :mod:`moyeval.qexact` per
-element, never mixed.  ``torus_mul`` needs ``+``, ``*``, ``times_v`` and
-truth testing of them; ``mu`` needs only ``+``, ``times_v`` and truth
-testing, so its image keeps the ring (and any truncation bound) of its
-input without knowing which ring that is.
+element, never mixed.  Products need the ring's ``_addmul`` and ``_like``;
+``mu`` needs only ``+``, ``times_v`` and truth testing, so its image
+keeps the ring (and any truncation bound) of its input without knowing
+which ring that is.
 
 ``TorusElement`` is built on the sparse-term base of those rings
 (``moyeval.qexact._Terms``), so its sums, negation and equality are the
-same code as theirs.  ``torus_mul`` and ``mu`` collect terms through the
-rings' ``_iadd``, which never stores a zero coefficient, so a product is
-not filtered a second time.  Only the public constructor filters;
-``times_v`` goes through it, since shifting truncated coefficients can
-empty them.
+same code as theirs.  Products accumulate raw and clean once in place:
+``_accumulate`` adds the coefficient product of every pair of terms,
+with its normal-ordering shift, into one raw coefficient map per
+monomial through the ring's ``_addmul``, and ``_settle`` then deletes the
+zero entries from those same maps, wraps each with ``_like`` and drops
+the monomials left empty.  ``torus_mul`` is that loop on two elements;
+the graded series products of :mod:`moyeval.homfly` feed all their
+degree pairs into one accumulator.  ``_mul_linear`` multiplies by a
+linear factor ``1 + sum_t c_t x_t``, the factor of every twisted
+product, without building it: it reads each term's shifts against all
+variables at once.  Only the public constructor filters; ``times_v``
+goes through it, since shifting truncated coefficients can empty them.
 
 Two concrete algebras are built from a diagram:
 
@@ -70,7 +77,7 @@ from typing import Mapping, Sequence
 
 from .cycles import Cycle, CycleSet
 from .diagram import Coloring, Flag, PlanarDiagram, ROLES
-from .qexact import QLaurent, _iadd, _Terms
+from .qexact import QLaurent, _drop_zeros, _iadd, _Terms
 
 __all__ = [
     "TorusSignature",
@@ -193,15 +200,84 @@ class TorusElement(_Terms):
         return " + ".join(parts) or "0"
 
 
+def _accumulate(acc: dict, signature: TorusSignature, x_terms: dict, y_terms: dict) -> None:
+    """Add the product of every pair of terms of ``x_terms`` and ``y_terms``
+    into ``acc``, which maps normal-ordered monomials to raw coefficient
+    maps; zeros stay until ``_settle``."""
+    for ea, ca in x_terms.items():
+        addmul = ca._addmul
+        for eb, cb in y_terms.items():
+            shift, exps = _mul_exps(signature, ea, eb)
+            dest = acc.get(exps)
+            if dest is None:
+                dest = acc[exps] = {}
+            addmul(dest, cb, shift)
+
+
+def _settle(acc: dict, terms: dict) -> dict:
+    """Clean ``acc`` in place and return it.
+
+    Each raw coefficient map loses its zero entries and is wrapped, as the
+    same dict, by ``_like`` of a coefficient of ``terms`` (a term map over
+    the same ring and bound); monomials left empty are dropped.
+    """
+    if acc:
+        like = next(iter(terms.values()))._like
+        empty = []
+        for exps, raw in acc.items():  # replacing values keeps the size
+            if _drop_zeros(raw):
+                acc[exps] = like(raw)
+            else:
+                empty.append(exps)
+        for exps in empty:
+            del acc[exps]
+    return acc
+
+
 def torus_mul(x: TorusElement, y: TorusElement) -> TorusElement:
     """Product in the quantum torus, collecting normal-ordered monomials."""
     x._check(y)
-    out: dict[tuple[int, ...], object] = {}
+    acc: dict[tuple[int, ...], dict] = {}
+    _accumulate(acc, x.signature, x.terms, y.terms)
+    return x._like(_settle(acc, x.terms))
+
+
+def _mul_linear(x: TorusElement, coeffs: Sequence, max_degree: int | None = None) -> TorusElement:
+    """``x * (1 + sum_t coeffs[t] * x_t)``, forming no term of x-degree above ``max_degree``.
+
+    Equal to ``torus_mul`` against that linear element, minus its terms
+    above ``max_degree``.  Moving ``x_t`` left past ``x**ea`` costs
+    ``v**sigma_t`` with ``sigma_t = sum_{i>t} ea_i c(i, t)``; the whole
+    vector ``sigma`` is read from ``signature.lower`` once per term, not
+    once per pair.  Terms of x-degree ``max_degree`` meet only the 1.
+    """
+    k = len(x.signature)
+    lower = x.signature.lower
+    units = [tuple(int(i == t) for i in range(k)) for t in range(k)]
+    acc: dict[tuple[int, ...], dict] = {}
     for ea, ca in x.terms.items():
-        for eb, cb in y.terms.items():
-            shift, exps = _mul_exps(x.signature, ea, eb)
-            _iadd(out, exps, (ca * cb).times_v(shift))
-    return x._like(out)
+        dest = acc.get(ea)
+        if dest is None:  # a whole copy: maps grown entry by entry left a larger heap
+            acc[ea] = dict(ca.terms)
+        else:
+            get = dest.get
+            for key, c in ca.terms.items():
+                dest[key] = get(key, 0) + c
+        if max_degree is not None and sum(ea) >= max_degree:
+            continue
+        sigma = [0] * k
+        for i, row in lower:
+            ai = ea[i]
+            if ai:
+                for j, c in row:
+                    sigma[j] += ai * c
+        for t, ct in enumerate(coeffs):
+            exps = tuple(map(add, ea, units[t]))
+            dest = acc.get(exps)
+            if dest is None:
+                dest = acc[exps] = {}
+            ca._addmul(dest, ct, sigma[t])
+    return x._like(_settle(acc, x.terms))
 
 
 class FlagAlgebra:

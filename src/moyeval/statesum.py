@@ -142,21 +142,31 @@ def eval_table_alt(
     cycle_set: CycleSet | None = None,
 ) -> dict[Coloring, QLaurent]:
     """The level-``n`` table by listing every state, with the vertex
-    exponent ``|l||r| - 2L``; the reference for ``eval_table``."""
+    exponent ``|l||r| - 2L``; the reference for ``eval_table``.
+
+    A state's coloring depends only on the multiset of its cycles, so each
+    multiset's coloring is built once, through the validating ``Coloring``
+    constructor, and the multiset keeps the coloring's exponent counts.
+    """
     cycles = (cycle_set or CycleSet(d)).cycles
     labels = doubled_labels(n)
+    buckets: dict[tuple[int, ...], dict[int, int]] = {}
     table: dict[Coloring, dict[int, int]] = {}
-    for state in itertools.product(cycles, repeat=n):
+    for indices in itertools.product(range(len(cycles)), repeat=n):
+        state = [cycles[i] for i in indices]
         exponent = 2 * sum(s * cycle.rot for s, cycle in zip(labels, state))
         for v in d.vertices:
             left = [s for s, cycle in zip(labels, state) if v.id in cycle.left_at]
             right = [t for t, cycle in zip(labels, state) if v.id in cycle.right_at]
             exponent += len(left) * len(right) - 2 * sum(1 for s in left for t in right if s > t)
-        coloring = Coloring(
-            edges=Counter(e for cycle in state for e in cycle.edge_ids),
-            circles=Counter(c for cycle in state for c in cycle.circle_ids),
-        )
-        bucket = table.setdefault(coloring, {})
+        multiset = tuple(sorted(indices))
+        bucket = buckets.get(multiset)
+        if bucket is None:
+            coloring = Coloring(
+                edges=Counter(e for cycle in state for e in cycle.edge_ids),
+                circles=Counter(c for cycle in state for c in cycle.circle_ids),
+            )
+            bucket = buckets[multiset] = table.setdefault(coloring, {})
         bucket[exponent] = bucket.get(exponent, 0) + 1
     return {coloring: QLaurent(counts) for coloring, counts in table.items()}
 

@@ -21,9 +21,9 @@ from moyeval.homfly import (
     specialize_to_N,
 )
 from moyeval.qexact import QLaurent, TruncatedRSeries, qbinom
-from moyeval.qtorus import CycleAlgebra, TorusElement, TorusSignature
+from moyeval.qtorus import CycleAlgebra, TorusElement, TorusSignature, _mul_linear, torus_mul
 from moyeval.statesum import eval_table
-from test_qtorus import fold_image
+from test_qtorus import fold_image, linear_element
 from test_statesum import TWO_THETAS
 
 
@@ -59,6 +59,15 @@ def random_series(rng, ca, x_degree, q_order, count, v_low=0, unit=False):
 def uncapped_product(a, b):
     """Reference product: every pair of the torus product, then drop x-degree > D."""
     return TruncatedTorusSeries(a.x_degree, a.q_order, a.element * b.element)
+
+
+def linear_by_product(x, coeffs, max_degree=None):
+    """Reference linear kernel: ``torus_mul`` against the explicit factor,
+    then drop x-degree above ``max_degree``."""
+    one = TruncatedRSeries.one(next(iter(x.terms.values())).q_order)
+    product = torus_mul(x, linear_element(x.signature, one, coeffs))
+    return TorusElement(x.signature, {
+        e: c for e, c in product.terms.items() if max_degree is None or sum(e) <= max_degree})
 
 
 def neumann_invert(s):
@@ -101,6 +110,8 @@ def test_series_arithmetic_and_bound_mismatches():
         one * TruncatedTorusSeries.one(ca, 3, 8)
     with pytest.raises(ValueError, match="truncation bound mismatch"):
         one * TruncatedTorusSeries.one(ca, 2, 12)
+    with pytest.raises(ValueError, match="different signatures"):
+        one * TruncatedTorusSeries.one(CycleAlgebra(builtin("theta")), 2, 8)
     with pytest.raises(ValueError, match="cannot raise a truncation bound"):
         one.retruncate(12)
     # products file terms by x-degree, so the constructor rejects negative exponents
@@ -130,6 +141,9 @@ def test_graded_product_equals_the_uncapped_product():
 
 
 def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
+    # the series products normal-order each pair through _mul_exps; the
+    # linear kernel of the infinite products forms one coefficient product
+    # per (term, variable) pair, and must form only those of degree sum <= 3
     theta = builtin("theta")
     signature = CycleAlgebra(theta).signature
     degree_sums = []
@@ -140,9 +154,30 @@ def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
             degree_sums.append(sum(ea) + sum(eb))
         return original(sig, ea, eb)
 
+    coefficient_products = []
+    addmul = TruncatedRSeries._addmul
+
+    def counting(self, dest, other, shift):
+        coefficient_products.append(shift)
+        return addmul(self, dest, other, shift)
+
+    linear_pairs = []
+    linear = moyeval.homfly._mul_linear
+
+    def recording_linear(x, coeffs, max_degree=None):
+        before = len(coefficient_products)
+        out = linear(x, coeffs, max_degree)
+        within = sum(len(coeffs) for e in x.terms if sum(e) + 1 <= max_degree)
+        linear_pairs.append((len(coefficient_products) - before, within))
+        return out
+
     monkeypatch.setattr(moyeval.qtorus, "_mul_exps", recording)
+    monkeypatch.setattr(TruncatedRSeries, "_addmul", counting)
+    monkeypatch.setattr(moyeval.homfly, "_mul_linear", recording_linear)
     assert check_fphi(homfly_series(theta, 3, 8)).ok
     assert degree_sums and max(degree_sums) == 3
+    assert linear_pairs and all(formed == within for formed, within in linear_pairs)
+    assert sum(formed for formed, _ in linear_pairs) > 0
 
 
 def test_series_invert_random_units():
@@ -226,8 +261,14 @@ def test_every_operation_keeps_terms_clean():
         return series_invert(s - TruncatedTorusSeries(
             x_degree, q_order, TorusElement.monomial(ca.signature, zeros, constant)))
 
+    def linear(coeff):
+        # the linear kernel, with and without a degree cap
+        return [lambda x, y: _mul_linear(x, [coeff() for _ in zeros], rng.choice((None, 1, 2)))]
+
     shared = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
               lambda x, y: -x, lambda x, y: x - x]
+    # the step _poch_inf takes: a capped linear kernel on the series' terms
+    series_linear = [lambda x, y: x._like(_mul_linear(x.element, [rseries() for _ in zeros], x_degree).terms)]
     times_v = [lambda x, y: x.times_v(rng.randrange(-4, q_order + 4))]
     shift_a = [lambda x, y: x.shift_a(rng.randrange(-q_order, q_order + 1))]
     retruncate = [lambda x: x.retruncate(rng.randrange(-2, q_order + 1))]
@@ -236,10 +277,10 @@ def test_every_operation_keeps_terms_clean():
     walks = [
         ([laurent() for _ in range(3)], shared + times_v, []),
         ([rseries() for _ in range(3)], shared + times_v + shift_a, retruncate),
-        ([element(laurent) for _ in range(3)], shared + times_v, [ca.mu]),
-        ([element(rseries) for _ in range(3)], shared + times_v, [ca.mu]),
+        ([element(laurent) for _ in range(3)], shared + times_v + linear(laurent), [ca.mu]),
+        ([element(rseries) for _ in range(3)], shared + times_v + linear(rseries), [ca.mu]),
         ([random_series(rng, ca, x_degree, q_order, 5, v_low=-4) for _ in range(3)],
-         shared + shift_a, retruncate + [invert, lambda s: ca.mu(s.element)]),
+         shared + shift_a + series_linear, retruncate + [invert, lambda s: ca.mu(s.element)]),
     ]
     for values, steps, finals in walks:
         for _ in range(25):
@@ -318,6 +359,7 @@ def test_series_matches_the_uncapped_reference_pipeline(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(TruncatedTorusSeries, "__mul__", uncapped_product)
             m.setattr(moyeval.homfly, "series_invert", neumann_invert)
+            m.setattr(moyeval.homfly, "_mul_linear", linear_by_product)
             reference = homfly_series(builtin(name), x_degree, q_order)
         assert hs.table == reference.table, (name, x_degree)
         assert hs.series == reference.series, (name, x_degree)

@@ -15,6 +15,7 @@ from moyeval.qtorus import (
     TorusElement,
     TorusSignature,
     _mul_exps,
+    _mul_linear,
     torus_mul,
 )
 from test_statesum import CIRCLE_PLACES, TWO_THETAS, theta_with_circles
@@ -48,6 +49,15 @@ def mu_by_fold(ca, element):
 def small_signature():
     # two variables with u_1 u_0 = v^(-2) u_0 u_1
     return TorusSignature.from_entries(("u_0", "u_1"), {(0, 1): 2})
+
+
+def linear_element(signature, one, coeffs):
+    """The element ``one + sum_t coeffs[t] * x_t``, built term by term."""
+    k = len(signature)
+    terms = {(0,) * k: one}
+    for t, coeff in enumerate(coeffs):
+        terms[tuple(int(i == t) for i in range(k))] = coeff
+    return TorusElement(signature, terms)
 
 
 # -- signatures ---------------------------------------------------------------
@@ -113,6 +123,59 @@ def test_normal_ordering_matches_the_dense_sum():
             a = tuple(rng.randrange(-2, 4) if rng.random() < 0.5 else 0 for _ in range(n))
             b = tuple(rng.randrange(-2, 4) if rng.random() < 0.5 else 0 for _ in range(n))
             assert _mul_exps(signature, a, b) == dense(signature, a, b), (signature, a, b)
+
+
+def test_linear_kernel_is_the_product_with_the_linear_element():
+    # on skewed cycle algebras, over both rings: the kernel equals torus_mul
+    # against the explicit factor, and with a degree cap it forms exactly the
+    # terms of x-degree within the cap (terms of x at the cap meet only the 1)
+    rng = random.Random(9157)
+
+    def laurent():
+        return QLaurent({rng.randrange(-6, 7): rng.randrange(-2, 3) for _ in range(3)})
+
+    def rseries():
+        return TruncatedRSeries(8, {
+            (rng.randrange(-4, 9), rng.randrange(-2, 3)): rng.randrange(-2, 3) for _ in range(3)})
+
+    for d in (builtin("tetrahedron"), parse_diagram(TWO_THETAS)):
+        signature = CycleAlgebra(d).signature
+        assert any(c < 0 for row in signature.skew for c in row)
+        k = len(signature)
+        for one, coeff in ((QLaurent.one(), laurent), (TruncatedRSeries.one(8), rseries)):
+            for _ in range(8):
+                x = TorusElement(signature, {
+                    tuple(rng.randrange(0, 3) for _ in range(k)): coeff() for _ in range(6)})
+                coeffs = [coeff() for _ in range(k)]
+                assert _mul_linear(x, coeffs) == torus_mul(x, linear_element(signature, one, coeffs))
+                for cap in (0, 2, 4):
+                    below = TorusElement(signature, {e: c for e, c in x.terms.items() if sum(e) <= cap})
+                    full = torus_mul(below, linear_element(signature, one, coeffs))
+                    capped = {e: c for e, c in full.terms.items() if sum(e) <= cap}
+                    assert _mul_linear(below, coeffs, cap).terms == capped
+
+
+def test_a_pair_above_the_bound_is_dropped_before_its_shift():
+    # u_1 * u_0 = v^(-2) u_0 u_1 at bound 8: the coefficient pair v^5 * v^4
+    # forms v^9, which the shift would bring to v^7; it is dropped all the same,
+    # by torus_mul, by the linear kernel and by the ring's own accumulator
+    sig = small_signature()
+
+    def mono(exps, v):
+        return TorusElement.monomial(sig, exps, TruncatedRSeries.monomial(8, v, 0))
+
+    assert torus_mul(mono((0, 1), 5), mono((1, 0), 4)) == TorusElement.zero(sig)
+    assert torus_mul(mono((0, 1), 4), mono((1, 0), 4)) == mono((1, 1), 6)
+    x = mono((0, 1), 5)
+    assert _mul_linear(x, [TruncatedRSeries.monomial(8, 4, 0), TruncatedRSeries.zero(8)]) == x
+    a, b = TruncatedRSeries.monomial(8, 5, 1), TruncatedRSeries.monomial(8, 3, 1)
+    for shift, kept in ((-2, {(6, 2): 1}), (0, {(8, 2): 1}), (1, {})):
+        dest = {}
+        a._addmul(dest, b, shift)
+        assert dest == kept, shift
+    dest = {}
+    a._addmul(dest, TruncatedRSeries.monomial(8, 4, 0), -2)
+    assert dest == {}
 
 
 def test_associativity_against_commutative_shadow():
