@@ -22,6 +22,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from pathlib import Path
 
 from .cycles import CycleSet
@@ -118,7 +119,15 @@ def _rseries_json(t: TruncatedRSeries) -> dict:
 
 
 def _emit_json(data) -> None:
-    print(json.dumps(data, indent=2))
+    """Print ``json.dumps(data, indent=2)``, written a few thousand chunks at a time.
+
+    The indenting encoder yields one small string per number; joining them
+    all at once, as ``json.dumps`` does, holds several times the text's size.
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode(data)
+    while batch := "".join(islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 # --------------------------------------------------------------------------

@@ -21,8 +21,8 @@ Loops and multiple edges are allowed as long as the drawing is valid.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
-from dataclasses import dataclass
+import math
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,6 +47,7 @@ __all__ = [
 ROLES = ("l", "m", "r")
 
 Point = tuple[Fraction, Fraction]
+_IntPoint = tuple[int, int]
 
 
 class DiagramError(ValueError):
@@ -96,8 +97,7 @@ def _as_flag(value) -> Flag:
     return flag
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     kind: str  # "merge" | "split"
     position: Point
@@ -109,16 +109,14 @@ class Vertex:
         return ("m",) if self.kind == "merge" else ("l", "r")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     tail: Flag
     head: Flag
     waypoints: tuple[Point, ...] = ()
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     id: int
     center: Point
     radius: Fraction
@@ -189,17 +187,20 @@ class FlowViolation(NamedTuple):
 
 
 # --------------------------------------------------------------------------
-# Exact geometric predicates.  All coordinates are Fractions, so every test
-# below is decided exactly, with no epsilon anywhere.
+# Exact geometric predicates.  They run on integer points: the embedding
+# check scales the whole drawing by the common denominator of its
+# coordinates, and every test below is homogeneous in the coordinates, so
+# each one decides exactly what it would decide on the rational drawing,
+# with no epsilon and no division anywhere.
 
 
-def _orient(a: Point, b: Point, c: Point) -> int:
+def _orient(a: _IntPoint, b: _IntPoint, c: _IntPoint) -> int:
     """Sign of the cross product (b - a) x (c - a)."""
     cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     return (cross > 0) - (cross < 0)
 
 
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
+def _on_segment(p: _IntPoint, a: _IntPoint, b: _IntPoint) -> bool:
     """True when p lies on the closed segment [a, b]."""
     if _orient(a, b, p) != 0:
         return False
@@ -209,31 +210,76 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
     )
 
 
-def _dist2(a: Point, b: Point) -> Fraction:
+def _dist2(a: _IntPoint, b: _IntPoint) -> int:
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
-def _segment_dist2_range(center: Point, a: Point, b: Point) -> tuple[Fraction, Fraction]:
-    """Exact (min, max) of squared distance from ``center`` to segment [a, b]."""
+def _circle_meets_segment(center: _IntPoint, r2: int, a: _IntPoint, b: _IntPoint) -> bool:
+    """True when the circle of squared radius ``r2`` meets the segment [a, b], a != b.
+
+    The squared distance from ``center`` to the segment ranges over
+    [lo, max(da, db)]; ``lo`` is the distance to the foot of the
+    perpendicular when that foot lies on the segment, which is
+    ``cross**2 / seg2``, so it is compared as ``cross**2 <= r2 * seg2``.
+    """
     da = _dist2(center, a)
     db = _dist2(center, b)
-    lo = min(da, db)
-    hi = max(da, db)
-    seg2 = _dist2(a, b)
-    if seg2:
-        t = ((center[0] - a[0]) * (b[0] - a[0]) + (center[1] - a[1]) * (b[1] - a[1])) / seg2
-        if 0 <= t <= 1:
-            foot = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-            lo = min(lo, _dist2(center, foot))
-    return lo, hi
+    if max(da, db) < r2:
+        return False
+    if min(da, db) <= r2:
+        return True
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    px, py = center[0] - a[0], center[1] - a[1]
+    dot = px * ex + py * ey
+    seg2 = ex * ex + ey * ey
+    if not 0 <= dot <= seg2:
+        return False
+    cross = ex * py - ey * px
+    return cross * cross <= r2 * seg2
+
+
+def _format_point(point: _IntPoint, scale: int) -> str:
+    """A scaled point in the drawing's own coordinates, as ``(1/3, 1/2)``."""
+    x, y = point
+    return f"({Fraction(x, scale)}, {Fraction(y, scale)})"
 
 
 class _Segment(NamedTuple):
     edge_id: int
     index: int
-    a: Point
-    b: Point
-    terminals: frozenset  # vertex ids this segment legitimately ends at
+    a: _IntPoint
+    b: _IntPoint
+    ends: frozenset  # positions of the vertices this segment legitimately ends at
+
+
+def _check_segment_pair(s1: _Segment, s2: _Segment, scale: int) -> None:
+    """Raise unless the segments meet at most in a point where they may meet.
+
+    Segments may meet only at an endpoint they share as the same vertex or,
+    when they are consecutive pieces of one edge, at their common waypoint.
+    ``s1`` comes before ``s2`` in segment order.
+    """
+    o1 = _orient(s1.a, s1.b, s2.a)
+    o2 = _orient(s1.a, s1.b, s2.b)
+    o3 = _orient(s2.a, s2.b, s1.a)
+    o4 = _orient(s2.a, s2.b, s1.b)
+    where = f"edge {s1.edge_id} and edge {s2.edge_id}"
+    if s1.edge_id == s2.edge_id:
+        where = f"edge {s1.edge_id} and itself"
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        raise DiagramError(f"{where} cross")
+    contacts = {p for p in (s2.a, s2.b) if _on_segment(p, s1.a, s1.b)}
+    contacts |= {p for p in (s1.a, s1.b) if _on_segment(p, s2.a, s2.b)}
+    if not contacts:
+        return
+    if len(contacts) > 1:
+        raise DiagramError(f"{where} overlap along a segment")
+    point = next(iter(contacts))
+    allowed = s1.ends & s2.ends
+    if s1.edge_id == s2.edge_id and s2.index == s1.index + 1:
+        allowed |= {s1.b}
+    if point not in allowed:
+        raise DiagramError(f"{where} touch at {_format_point(point, scale)}")
 
 
 class PlanarDiagram:
@@ -389,78 +435,66 @@ class PlanarDiagram:
                     f"at flag {e.head.role!r}, which is an outgoing flag"
                 )
 
-    def _segments(self) -> list[_Segment]:
+    def _check_embedding(self) -> None:
+        """Reject any drawing that is not a proper planar embedding.
+
+        The check runs on one integer copy of the drawing, scaled by the
+        least common denominator of all its coordinates.  Segment pairs are
+        visited in order, and a pair whose closed bounding boxes are disjoint
+        is skipped: it can neither cross nor touch.
+        """
+        coords = [x for v in self.vertices for x in v.position]
+        coords += [x for e in self.edges for p in e.waypoints for x in p]
+        coords += [x for c in self.circles for x in (*c.center, c.radius)]
+        scale = math.lcm(*(x.denominator for x in coords))
+
+        def lift(x: Fraction) -> int:
+            return x.numerator * (scale // x.denominator)
+
+        def lift_point(p: Point) -> _IntPoint:
+            return (lift(p[0]), lift(p[1]))
+
+        segs = self._segments(lift_point, scale)
+        boxes = [
+            (min(s.a[0], s.b[0]), max(s.a[0], s.b[0]), min(s.a[1], s.b[1]), max(s.a[1], s.b[1]))
+            for s in segs
+        ]
+        for i, (x0, x1, y0, y1) in enumerate(boxes):
+            for j in range(i + 1, len(segs)):
+                u0, u1, v0, v1 = boxes[j]
+                if u0 > x1 or x0 > u1 or v0 > y1 or y0 > v1:
+                    continue
+                _check_segment_pair(segs[i], segs[j], scale)
+        circles = [(c.id, lift_point(c.center), lift(c.radius)) for c in self.circles]
+        for idx, (cid, center, radius) in enumerate(circles):
+            for cid2, center2, radius2 in circles[idx + 1 :]:
+                d2 = _dist2(center, center2)
+                if (radius - radius2) ** 2 <= d2 <= (radius + radius2) ** 2:
+                    raise DiagramError(f"circles {cid} and {cid2} intersect")
+            r2 = radius * radius
+            for seg in segs:
+                if _circle_meets_segment(center, r2, seg.a, seg.b):
+                    raise DiagramError(f"circle {cid} intersects edge {seg.edge_id}")
+
+    def _segments(self, lift_point: Callable[[Point], _IntPoint], scale: int) -> list[_Segment]:
+        """The pieces of every edge's polyline, lifted to integer points."""
+        position = {v.id: lift_point(v.position) for v in self.vertices}
         segs = []
         for e in self.edges:
-            pts = self.edge_points(e)
+            pts = [position[e.tail.vertex], *map(lift_point, e.waypoints), position[e.head.vertex]]
             last = len(pts) - 2
             for i in range(len(pts) - 1):
                 if pts[i] == pts[i + 1]:
-                    raise DiagramError(f"edge {e.id} has a zero-length segment at {pts[i]}")
-                terminals = set()
+                    raise DiagramError(
+                        f"edge {e.id} has a zero-length segment at {_format_point(pts[i], scale)}"
+                    )
+                ends = set()
                 if i == 0:
-                    terminals.add(e.tail.vertex)
+                    ends.add(pts[0])
                 if i == last:
-                    terminals.add(e.head.vertex)
-                segs.append(_Segment(e.id, i, pts[i], pts[i + 1], frozenset(terminals)))
+                    ends.add(pts[-1])
+                segs.append(_Segment(e.id, i, pts[i], pts[i + 1], frozenset(ends)))
         return segs
-
-    def _allowed_contacts(self, s1: _Segment, s2: _Segment) -> set:
-        """Points where the two segments may legitimately touch."""
-        allowed = set()
-        if s1.edge_id == s2.edge_id:
-            edge = self.edge_by_id[s1.edge_id]
-            pts = self.edge_points(edge)
-            lo, hi = sorted((s1.index, s2.index))
-            if hi - lo == 1:
-                allowed.add(pts[hi])
-            if lo == 0 and hi == len(pts) - 2 and edge.tail.vertex == edge.head.vertex:
-                allowed.add(self.vertex_by_id[edge.tail.vertex].position)
-        else:
-            for vid in s1.terminals & s2.terminals:
-                allowed.add(self.vertex_by_id[vid].position)
-        return allowed
-
-    def _check_segment_pair(self, s1: _Segment, s2: _Segment) -> None:
-        o1 = _orient(s1.a, s1.b, s2.a)
-        o2 = _orient(s1.a, s1.b, s2.b)
-        o3 = _orient(s2.a, s2.b, s1.a)
-        o4 = _orient(s2.a, s2.b, s1.b)
-        where = f"edge {s1.edge_id} and edge {s2.edge_id}"
-        if s1.edge_id == s2.edge_id:
-            where = f"edge {s1.edge_id} and itself"
-        if o1 * o2 < 0 and o3 * o4 < 0:
-            raise DiagramError(f"{where} cross")
-        contacts = {p for p in (s2.a, s2.b) if _on_segment(p, s1.a, s1.b)}
-        contacts |= {p for p in (s1.a, s1.b) if _on_segment(p, s2.a, s2.b)}
-        if not contacts:
-            return
-        if len(contacts) > 1:
-            raise DiagramError(f"{where} overlap along a segment")
-        point = next(iter(contacts))
-        endpoint_of_both = point in (s1.a, s1.b) and point in (s2.a, s2.b)
-        if not endpoint_of_both or point not in self._allowed_contacts(s1, s2):
-            x, y = point
-            raise DiagramError(f"{where} touch at ({x}, {y})")
-
-    def _check_embedding(self) -> None:
-        segs = self._segments()
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                s1, s2 = segs[i], segs[j]
-                if s1.edge_id == s2.edge_id and s1.index == s2.index:
-                    continue
-                self._check_segment_pair(s1, s2)
-        for idx, c1 in enumerate(self.circles):
-            for c2 in self.circles[idx + 1 :]:
-                d2 = _dist2(c1.center, c2.center)
-                if (c1.radius - c2.radius) ** 2 <= d2 <= (c1.radius + c2.radius) ** 2:
-                    raise DiagramError(f"circles {c1.id} and {c2.id} intersect")
-            for seg in segs:
-                lo, hi = _segment_dist2_range(c1.center, seg.a, seg.b)
-                r2 = c1.radius**2
-                if lo <= r2 <= hi:
-                    raise DiagramError(f"circle {c1.id} intersects edge {seg.edge_id}")
 
     def __repr__(self) -> str:
         return (

@@ -51,7 +51,6 @@ v-exponents, gets its own headroom from the same argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .diagram import Coloring, DiagramError, PlanarDiagram, format_coloring
@@ -338,8 +337,7 @@ def _assemble(
     return poch_a, poch_ainv, poch_a * series_invert(poch_ainv)
 
 
-@dataclass(frozen=True)
-class HomflySeries:
+class HomflySeries(NamedTuple):
     """The truncated HOMFLY data of a positive diagram.
 
     ``poch_a``, ``poch_ainv`` and ``series_work`` (``G``) are the products
@@ -378,8 +376,7 @@ def homfly_series(d: PlanarDiagram, x_degree: int, q_order: int) -> HomflySeries
     return HomflySeries(d, ca, x_degree, q_order, poch_a, poch_ainv, series_work, table)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

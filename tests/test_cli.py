@@ -206,6 +206,13 @@ def test_json_output_with_checks_is_one_document(capsys):
     assert "FAIL: specialize" in err
 
 
+def test_json_output_is_the_indented_dump_of_its_document(capsys):
+    # the writer emits the encoder's chunks in batches; this table spans two
+    code, out, _ = run(capsys, "table", "tetrahedron", "--N", "5", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 # -- consistency suites -------------------------------------------------------
 
 

@@ -1,6 +1,5 @@
 """Truncated HOMFLY generating series and its consistency checks."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -470,8 +469,7 @@ def test_defining_equation_checks_the_kept_series():
     exps = next(e for e in sorted(terms) if any(e))
     altered = dict(terms)
     altered[exps] = terms[exps] + TruncatedRSeries.monomial(hs.series_work.q_order, 4, 0)
-    broken = dataclasses.replace(
-        hs,
+    broken = hs._replace(
         series_work=TruncatedTorusSeries(
             hs.x_degree,
             hs.series_work.q_order,
