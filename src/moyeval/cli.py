@@ -18,11 +18,9 @@ the exit codes stay the same.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from pathlib import Path
 
 from .cycles import CycleSet
@@ -119,15 +117,19 @@ def _rseries_json(t: TruncatedRSeries) -> dict:
 
 
 def _emit_json(data) -> None:
-    """Print ``json.dumps(data, indent=2)``, written a few thousand chunks at a time.
+    """Print ``json.dumps(data, indent=2)``, writing each piece of
+    ``json_chunks`` as it comes.
 
-    The indenting encoder yields one small string per number; joining them
-    all at once, as ``json.dumps`` does, holds several times the text's size.
+    No more than one piece is held at a time, so iterators in ``data`` (the
+    rows of a pairing matrix) are printed without being kept.  The writer
+    is imported here, so that commands printing text never load it.
     """
-    chunks = json.JSONEncoder(indent=2).iterencode(data)
-    while batch := "".join(islice(chunks, 4096)):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+    from .jsonout import json_chunks
+
+    write = sys.stdout.write
+    for chunk in json_chunks(data):
+        write(chunk)
+    write("\n")
 
 
 # --------------------------------------------------------------------------
@@ -214,7 +216,7 @@ def _cmd_cycles(args) -> int:
                     }
                     for c in cs.cycles
                 ],
-                "pairing_doubled": cs.pairing2,
+                "pairing_doubled": cs.pairing_rows(),
                 "positive": cs.is_positive,
             }
         )
@@ -231,7 +233,7 @@ def _cmd_cycles(args) -> int:
         bits.append(f"components {len(cycle.components)}")
         print(f"cycle {i}: {' '.join(bits)} rot {cycle.rot:+d}")
     print("doubled pairing matrix 2<Ci,Cj>:")
-    for row in cs.pairing2:
+    for row in cs.pairing_rows():
         print("  [" + ", ".join(f"{entry:+d}" if entry else "0" for entry in row) + "]")
     print(f"positive: {'yes' if cs.is_positive else 'no'}")
     return 0

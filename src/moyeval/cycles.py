@@ -17,12 +17,30 @@ state sum and the intersection pairing
     2 * <C, C'> = #(left_at(C) & right_at(C')) - #(right_at(C) & left_at(C'))
 
 which is kept in doubled (integer) form throughout.
+
+The pairing adds over circuits.  Every flag of a circuit sits at one of
+its own vertices, and the circuits of one cycle share no vertex, so
+``left_at(C)`` is the disjoint union of ``left_at(a)`` over the circuits
+``a`` of ``C``, and likewise ``right_at(C)``.  Hence
+``left_at(C) & right_at(C')`` is the union of the sets
+``left_at(a) & right_at(b)`` over the circuits ``a`` of ``C`` and ``b`` of
+``C'``; two of these sets with different ``a`` lie in disjoint
+``left_at(a)``, two with different ``b`` in disjoint ``right_at(b)``, so
+the union is disjoint and its size is the sum of theirs.  The same holds
+with the roles swapped, and subtracting gives, exactly,
+
+    2 * <C, C'> = sum over a in C, b in C' of 2 * <a, b>.
+
+So ``CycleSet`` computes ``pairing_doubled`` once per ordered pair of
+circuits and adds each cycle's row of the matrix from the rows of that
+table (free circles hold no flag and add zero rows).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from operator import add
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .diagram import DiagramError, PlanarDiagram, Point
 
@@ -198,14 +216,39 @@ class CycleSet:
         self.diagram = d
         self.cycles = tuple(all_cycles(d))
 
+    def pairing_rows(self) -> Iterator[list[int]]:
+        """The rows of the doubled pairing matrix in cycle order, each built
+        only when it is read: row ``i`` lists ``2 <C_i, C_j>`` over ``j``.
+
+        ``pairing_doubled`` runs once per ordered pair of circuits.  Each
+        circuit's row sums its table entries over the circuits of every
+        cycle, and each cycle's row is the sum of its circuits' rows (see
+        the module docstring), so a row costs one addition per entry and
+        circuit.
+        """
+        index: dict[Component, int] = {}
+        for cycle in self.cycles:
+            for comp in cycle.components:
+                index.setdefault(comp, len(index))
+        circuits = [Cycle((comp,)) for comp in index]
+        members = [[index[comp] for comp in cycle.components] for cycle in self.cycles]
+        table = [[pairing_doubled(a, b) for b in circuits] for a in circuits]
+        circuit_rows = [[sum(map(entries.__getitem__, held)) for held in members] for entries in table]
+        zeros = [0] * len(self.cycles)
+        for held in members:
+            row = circuit_rows[held[0]] if held else zeros
+            for i in held[1:]:
+                row = map(add, row, circuit_rows[i])
+            yield list(row)
+
     @cached_property
     def pairing2(self) -> list[list[int]]:
-        """The doubled pairing matrix ``pairing2[i][j] = 2 <C_i, C_j>``.
+        """The doubled pairing matrix ``pairing2[i][j] = 2 <C_i, C_j>``:
+        the rows of ``pairing_rows``, kept.
 
-        Built on first read: the state sum never reads it, and it costs
-        K**2 pairings for K cycles.
+        Built on first read; the state sum never reads it.
         """
-        return [[pairing_doubled(c1, c2) for c2 in self.cycles] for c1 in self.cycles]
+        return list(self.pairing_rows())
 
     def __len__(self) -> int:
         return len(self.cycles)

@@ -332,11 +332,8 @@ class CycleAlgebra:
         self.cycle_set = cycle_set or CycleSet(d)
         self.variables = self.cycle_set.cycles[1:]  # canonical indices 1..K
         names = [f"x_{i + 1}" for i in range(len(self.variables))]
-        entries = {}
-        for i in range(len(self.variables)):
-            for j in range(i + 1, len(self.variables)):
-                entries[(i, j)] = 2 * self.cycle_set.pairing2[i + 1][j + 1]
-        self.signature = TorusSignature.from_entries(names, entries)
+        skew = [[2 * p for p in row[1:]] for row in self.cycle_set.pairing2[1:]]
+        self.signature = TorusSignature(names, skew)
         self.rots = tuple(cycle.rot for cycle in self.variables)
         self.flag_algebra = FlagAlgebra(d)
         self._image_exps = tuple(self.flag_algebra.cycle_exponents(c) for c in self.variables)

@@ -144,24 +144,40 @@ def eval_table_alt(
     """The level-``n`` table by listing every state, with the vertex
     exponent ``|l||r| - 2L``; the reference for ``eval_table``.
 
-    A state's coloring depends only on the multiset of its cycles, so each
-    multiset's coloring is built once, through the validating ``Coloring``
-    constructor, and the multiset keeps the coloring's exponent counts.
+    Each vertex keeps two label lists, for its ``l`` and ``r`` flags,
+    reused from state to state, and each cycle lists once the label lists
+    of the flags it holds and the vertices it passes.  A state appends its
+    labels to the lists of its cycles' flags, then visits the vertices its
+    cycles pass: only those with labels on both sides add to the exponent,
+    and each is emptied for the next state.  A state's coloring depends
+    only on the multiset of its cycles, so each multiset's coloring is
+    built once, through the validating ``Coloring`` constructor, and the
+    multiset keeps the coloring's exponent counts.
     """
     cycles = (cycle_set or CycleSet(d)).cycles
+    at = {v.id: ([], []) for v in d.vertices}
+    flags = [[at[v][0] for v in cycle.left_at] + [at[v][1] for v in cycle.right_at] for cycle in cycles]
+    passed = [[at[v] for v in cycle.left_at | cycle.right_at] for cycle in cycles]
+    rots = [cycle.rot for cycle in cycles]
     labels = doubled_labels(n)
     buckets: dict[tuple[int, ...], dict[int, int]] = {}
     table: dict[Coloring, dict[int, int]] = {}
     for indices in itertools.product(range(len(cycles)), repeat=n):
-        state = [cycles[i] for i in indices]
-        exponent = 2 * sum(s * cycle.rot for s, cycle in zip(labels, state))
-        for v in d.vertices:
-            left = [s for s, cycle in zip(labels, state) if v.id in cycle.left_at]
-            right = [t for t, cycle in zip(labels, state) if v.id in cycle.right_at]
-            exponent += len(left) * len(right) - 2 * sum(1 for s in left for t in right if s > t)
+        exponent = 0
+        for s, i in zip(labels, indices):
+            exponent += 2 * s * rots[i]
+            for held in flags[i]:
+                held.append(s)
+        for i in indices:
+            for left, right in passed[i]:
+                if left and right:
+                    exponent += len(left) * len(right) - 2 * sum(1 for s in left for t in right if s > t)
+                left.clear()
+                right.clear()
         multiset = tuple(sorted(indices))
         bucket = buckets.get(multiset)
         if bucket is None:
+            state = [cycles[i] for i in indices]
             coloring = Coloring(
                 edges=Counter(e for cycle in state for e in cycle.edge_ids),
                 circles=Counter(c for cycle in state for c in cycle.circle_ids),

@@ -2,13 +2,16 @@
 
 import gc
 import json
+from fractions import Fraction
 
 import pytest
 
-from moyeval.cli import format_qlaurent, main, parse_coloring_spec
-from moyeval.diagram import Coloring, builtin, serialize_diagram
+from moyeval.cli import _emit_json, format_qlaurent, main, parse_coloring_spec
+from moyeval.cycles import CycleSet, pairing_doubled
+from moyeval.diagram import Coloring, builtin, builtin_names, serialize_diagram
 from moyeval.qexact import QLaurent
 from moyeval.statesum import eval_table
+from test_cycles import thetas
 
 
 def run(capsys, *argv):
@@ -170,6 +173,35 @@ def test_cycles_output(capsys):
     assert data["cycles"][1] == {"edges": [0, 1], "circles": [], "components": 1, "rot": 1}
 
 
+def test_cycles_output_matches_the_direct_pairing(capsys, tmp_path):
+    diagrams = [(name, builtin(name)) for name in builtin_names()]
+    for k in (3, 5):
+        path = tmp_path / f"thetas{k}.json"
+        path.write_text(serialize_diagram(thetas(k)))
+        diagrams.append((str(path), thetas(k)))
+    for arg, d in diagrams:
+        cs = CycleSet(d)
+        pairing = [[pairing_doubled(c1, c2) for c2 in cs] for c1 in cs]
+        document = {
+            "cycles": [
+                {"edges": sorted(c.edge_ids), "circles": sorted(c.circle_ids),
+                 "components": len(c.components), "rot": c.rot}
+                for c in cs
+            ],
+            "pairing_doubled": pairing,
+            "positive": cs.is_positive,
+        }
+        code, out, _ = run(capsys, "cycles", arg, "--format", "json")
+        assert code == 0 and out == json.dumps(document, indent=2) + "\n", arg
+        code, out, _ = run(capsys, "cycles", arg)
+        lines = out.splitlines()
+        start = lines.index("doubled pairing matrix 2<Ci,Cj>:") + 1
+        assert lines[start:-1] == [
+            "  [" + ", ".join(f"{entry:+d}" if entry else "0" for entry in row) + "]"
+            for row in pairing
+        ], arg
+
+
 def test_classical_check_reports_each_coloring(capsys):
     code, out, _ = run(capsys, "classical", "theta", "--N", "2", "--check")
     assert code == 0
@@ -207,10 +239,48 @@ def test_json_output_with_checks_is_one_document(capsys):
 
 
 def test_json_output_is_the_indented_dump_of_its_document(capsys):
-    # the writer emits the encoder's chunks in batches; this table spans two
     code, out, _ = run(capsys, "table", "tetrahedron", "--N", "5", "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+WRITER_CASES = [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[]]],
+    [0], [1, 2, 3], [-1, -2**64, 2**64, 2**70 + 1], [[1, -2], [3], [2**100, -(2**100)]],
+    [1, True, 0], [True], [False, 2], [None, 3], [1, None], [0, 1.5], [1, "2"], (1, 2), [(3, 4)],
+    {"k": [1, 2], "nested": {"x": [[0]], "y": [{"z": None, "t": True, "f": False}]}},
+    {"\u00e9": "\u00fc", "ctl\x00\n\t\"\\": "a\x1fb\u2028", "\U0001f600": ["\x7f", "\u4e2d"]},
+    "scalar", 5, -7, None, True, False, 2.5,
+]
+
+
+def written(capsys, data):
+    _emit_json(data)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("data", WRITER_CASES, ids=repr)
+def test_json_writer_prints_the_indented_dump(capsys, data):
+    assert written(capsys, data) == json.dumps(data, indent=2) + "\n"
+
+
+def test_json_writer_rejects_what_json_rejects(capsys):
+    for data in ({1, 2}, [Fraction(1, 2)], {"a": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(data)
+        with pytest.raises(TypeError):
+            written(capsys, data)
+
+
+def test_json_writer_prints_iterators_as_lists(capsys):
+    for rows in ([], [[]], [[1, 2], [], [True, 3], [None]], [{"a": 1}, {}, "s"]):
+        expected = json.dumps(rows, indent=2) + "\n"
+        assert written(capsys, iter(rows)) == expected
+        assert written(capsys, (row for row in rows)) == expected
+        assert written(capsys, {"rows": iter(rows), "n": 1}) == json.dumps({"rows": rows, "n": 1}, indent=2) + "\n"
+    rows = [[1, 2], [], [3]]
+    assert written(capsys, [iter(row) for row in rows]) == json.dumps(rows, indent=2) + "\n"
+    assert written(capsys, iter([iter([])])) == json.dumps([[]], indent=2) + "\n"
 
 
 # -- consistency suites -------------------------------------------------------

@@ -15,6 +15,8 @@ from moyeval.cycles import (
     rotation_of_loop,
 )
 from moyeval.diagram import DiagramError, Flag, PlanarDiagram, builtin
+from test_chain import chain
+from test_statesum import CIRCLE_PLACES, theta_with_circles
 
 TWO_CIRCLES = PlanarDiagram(
     circles=[
@@ -36,6 +38,20 @@ THETA_PLUS_CIRCLE = PlanarDiagram(
     ],
     circles=[{"id": 7, "center": [9, 0], "radius": 1, "orientation": "ccw"}],
 )
+
+
+def thetas(k):
+    """``k`` copies of the built-in theta side by side, ten units apart."""
+    vertices, edges = [], []
+    for i in range(k):
+        x = 10 * i
+        vertices += [{"id": 2 * i, "kind": "split", "position": [x, -1]},
+                     {"id": 2 * i + 1, "kind": "merge", "position": [x, 1]}]
+        edges += [{"id": 3 * i, "tail": [2 * i + 1, "m"], "head": [2 * i, "m"], "waypoints": [[x - 2, 0]]},
+                  {"id": 3 * i + 1, "tail": [2 * i, "l"], "head": [2 * i + 1, "l"]},
+                  {"id": 3 * i + 2, "tail": [2 * i, "r"], "head": [2 * i + 1, "r"],
+                   "waypoints": [[x + 1, 0]]}]
+    return PlanarDiagram(vertices, edges)
 
 
 def test_rotation_of_loop():
@@ -117,6 +133,31 @@ def test_disjoint_union_with_circle():
         i, j = cs.cycles.index(plain), cs.cycles.index(union)
         for k in range(len(cs)):
             assert cs.pairing2[i][k] == cs.pairing2[j][k]
+
+
+def _theta_with_two_circles():
+    (outer, r_outer), (inner, r_inner) = (
+        CIRCLE_PLACES["outer face"], CIRCLE_PLACES["inner face left of edge 1"])
+    return theta_with_circles((outer, r_outer, "cw"), (inner, r_inner, "ccw"))
+
+
+PAIRING_DIAGRAMS = {
+    **{name: lambda name=name: builtin(name) for name in ("unknot", "theta", "tetrahedron")},
+    "thetas2": lambda: thetas(2),
+    "thetas3": lambda: thetas(3),
+    **{f"chain{k}": lambda k=k: chain(k) for k in (1, 2, 3, 4)},
+    "theta with a cw and a ccw circle": _theta_with_two_circles,
+}
+
+
+@pytest.mark.parametrize("name", PAIRING_DIAGRAMS)
+def test_circuit_built_pairing_is_the_direct_pairing(name):
+    # pairing2 adds rows of a circuit table; every entry must equal the
+    # pairing of the two cycles themselves
+    cs = CycleSet(PAIRING_DIAGRAMS[name]())
+    direct = [[pairing_doubled(c1, c2) for c2 in cs] for c1 in cs]
+    assert cs.pairing2 == direct
+    assert list(cs.pairing_rows()) == direct
 
 
 def test_pairing_is_antisymmetric():
