@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cache
+from math import gcd
 from pathlib import Path
 
 from .cycles import CycleSet
@@ -53,18 +53,18 @@ __all__ = ["main", "format_qlaurent", "format_rseries", "format_coloring", "pars
 # formatting
 
 
+@cache
 def _power(var: str, quarter_units: int) -> str | None:
-    """Render ``var`` raised to ``quarter_units / 4``; None for exponent 0."""
-    exp = Fraction(quarter_units, 4)
-    if exp == 0:
+    """Render ``var`` raised to ``quarter_units / 4`` (cached: rows repeat them); None for 0."""
+    if quarter_units == 0:
         return None
-    if exp == 1:
+    g = gcd(quarter_units, 4)
+    num, den = quarter_units // g, 4 // g
+    if den != 1:
+        return f"{var}^({num}/{den})"
+    if num == 1:
         return var
-    if exp.denominator == 1:
-        if exp.numerator > 0:
-            return f"{var}^{exp.numerator}"
-        return f"{var}^({exp.numerator})"
-    return f"{var}^({exp.numerator}/{exp.denominator})"
+    return f"{var}^{num}" if num > 0 else f"{var}^({num})"
 
 
 def _join_terms(terms: list[tuple[int, list[str | None]]]) -> str:

@@ -59,7 +59,7 @@ def pochhammer_N(ca: CycleAlgebra, n: int) -> TorusElement:
     ascending order; coefficients are plain ``QLaurent`` since ``a`` has
     been substituted.
     """
-    acc = TorusElement.monomial(ca.signature, (0,) * len(ca.signature), QLaurent.one())
+    acc = TorusElement(ca.signature, {(): QLaurent.one()})
     for k in range(n):
         acc = _mul_linear(acc, [QLaurent.monomial((2 + 4 * k - 2 * n) * rot) for rot in ca.rots])
     return acc

@@ -75,10 +75,10 @@ __all__ = [
 class TruncatedTorusSeries(_Terms):
     """A cycle-algebra element with truncated-series coefficients.
 
-    Terms of total x-degree above ``x_degree`` are discarded, every
-    coefficient is a ``TruncatedRSeries`` at the common bound ``q_order``,
-    and no x-exponent is negative; the constructor checks all three.  The
-    terms are those of ``element``.
+    Terms of total x-degree (the length of their key) above ``x_degree``
+    are discarded, and every coefficient is a ``TruncatedRSeries`` at the
+    common bound ``q_order``; the constructor checks both.  The terms are
+    those of ``element``, whose keys cannot hold a negative x-exponent.
     """
 
     __slots__ = ("x_degree", "q_order", "element")
@@ -86,16 +86,14 @@ class TruncatedTorusSeries(_Terms):
 
     def __init__(self, x_degree: int, q_order: int, element: TorusElement):
         kept = {}
-        for exps, coeff in element.terms.items():
-            if min(exps, default=0) < 0:
-                raise ValueError("series terms need nonnegative x-exponents")
-            if sum(exps) > x_degree:
+        for key, coeff in element.terms.items():
+            if len(key) > x_degree:
                 continue
             if coeff.q_order != q_order:
                 raise ValueError(
                     f"coefficient bound {coeff.q_order} does not match series bound {q_order}"
                 )
-            kept[exps] = coeff
+            kept[key] = coeff
         self.x_degree = x_degree
         self.q_order = q_order
         self.element = element._like(kept)
@@ -106,12 +104,7 @@ class TruncatedTorusSeries(_Terms):
 
     @classmethod
     def one(cls, ca: CycleAlgebra, x_degree: int, q_order: int) -> "TruncatedTorusSeries":
-        exps = (0,) * len(ca.signature)
-        return cls(
-            x_degree,
-            q_order,
-            TorusElement.monomial(ca.signature, exps, TruncatedRSeries.one(q_order)),
-        )
+        return cls(x_degree, q_order, TorusElement(ca.signature, {(): TruncatedRSeries.one(q_order)}))
 
     @property
     def terms(self) -> dict:
@@ -155,26 +148,19 @@ class TruncatedTorusSeries(_Terms):
         Only trustworthy when computed with enough headroom above the
         target bound; see ``check_shift``.
         """
-        element = TorusElement(
-            self.element.signature,
-            {e: c.shift_a(delta) for e, c in self.element.terms.items()},
-        )
-        return TruncatedTorusSeries(self.x_degree, self.q_order, element)
+        return self._like({e: s for e, c in self.terms.items() if (s := c.shift_a(delta))})
 
     def retruncate(self, q_order: int) -> "TruncatedTorusSeries":
-        element = TorusElement(
-            self.element.signature,
-            {e: c.retruncate(q_order) for e, c in self.element.terms.items()},
-        )
-        return TruncatedTorusSeries(self.x_degree, q_order, element)
+        terms = {e: t for e, c in self.terms.items() if (t := c.retruncate(q_order))}
+        return TruncatedTorusSeries(self.x_degree, q_order, self.element._like(terms))
 
     def constant_term(self) -> TruncatedRSeries:
-        exps = (0,) * len(self.element.signature)
-        found = self.element.terms.get(exps)
+        found = self.element.terms.get(())
         return found if found is not None else TruncatedRSeries.zero(self.q_order)
 
     def coefficient(self, exps: Sequence[int]) -> TruncatedRSeries:
-        found = self.element.terms.get(tuple(exps))
+        """The coefficient of the monomial with exponent vector ``exps``."""
+        found = self.element.terms.get(self.element.signature.key(exps))
         return found if found is not None else TruncatedRSeries.zero(self.q_order)
 
     def __repr__(self) -> str:
@@ -187,8 +173,8 @@ class TruncatedTorusSeries(_Terms):
 def _graded(s: TruncatedTorusSeries) -> list[dict]:
     """The homogeneous pieces of ``s``: entry ``d`` holds its terms of x-degree ``d``."""
     pieces: list[dict] = [{} for _ in range(s.x_degree + 1)]
-    for exps, coeff in s.terms.items():
-        pieces[sum(exps)][exps] = coeff
+    for key, coeff in s.terms.items():
+        pieces[len(key)][key] = coeff
     return pieces
 
 
@@ -196,15 +182,10 @@ def _linear_factor(
     ca: CycleAlgebra, e_v: int, e_b: int, k: int, x_degree: int, q_order: int
 ) -> TruncatedTorusSeries:
     """``1 + sum_C v**((e_v+4k) rot) b**(e_b rot) x_C`` at the given bounds."""
-    zero_exps = (0,) * len(ca.signature)
-    terms = {zero_exps: TruncatedRSeries.one(q_order)}
+    terms = {(): TruncatedRSeries.one(q_order)}
     if x_degree >= 1:
         for index, rot in enumerate(ca.rots):
-            coeff = TruncatedRSeries.monomial(q_order, (e_v + 4 * k) * rot, e_b * rot)
-            if coeff:
-                exps = [0] * len(ca.signature)
-                exps[index] = 1
-                terms[tuple(exps)] = coeff
+            terms[(index,)] = TruncatedRSeries.monomial(q_order, (e_v + 4 * k) * rot, e_b * rot)
     return TruncatedTorusSeries(x_degree, q_order, TorusElement(ca.signature, terms))
 
 
@@ -315,7 +296,7 @@ def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
     if s.constant_term() != TruncatedRSeries.one(s.q_order):
         raise ValueError("series is not invertible here: constant term must be exactly 1")
     pieces = _graded(s)
-    negated = [{exps: -coeff for exps, coeff in piece.items()} for piece in pieces]
+    negated = [{key: -coeff for key, coeff in piece.items()} for piece in pieces]
     inverse = pieces[:1]
     for d in range(1, s.x_degree + 1):
         acc: dict = {}

@@ -36,6 +36,9 @@ product loop, ``_addmul(dest, other, shift)``, adds
 and ``_drop_zeros`` then deletes them from that same map before
 ``_like`` wraps it.  The quantum-torus products feed all their
 coefficient pairs into such raw maps, so no ring value is built per pair.
+``_addshift(dest, shift)`` adds ``self * v**shift`` the same way, dropping
+what the shift pushes past a bound; ``times_v`` and the image ``mu`` of
+the quantum torus are built on it.
 
 On top of ``QLaurent`` the usual quantum combinatorics are defined:
 ``qint``, ``qfact``, ``qbinom`` and ``qmultinom``.  Division is performed
@@ -180,11 +183,20 @@ class QLaurent(_Terms):
                 key = base + e2
                 dest[key] = get(key, 0) + c1 * c2
 
+    def _addshift(self, dest: dict[int, int], shift: int) -> None:
+        """Add ``self * v**shift`` into the raw map ``dest``."""
+        get = dest.get
+        for exp, coeff in self.terms.items():
+            key = exp + shift
+            dest[key] = get(key, 0) + coeff
+
     def times_v(self, k: int) -> "QLaurent":
         """Multiply by the monomial ``v**k``."""
         if k == 0:
             return self
-        return self._like({exp + k: coeff for exp, coeff in self.terms.items()})
+        out: dict[int, int] = {}
+        self._addshift(out, k)
+        return self._like(out)
 
     def evaluate_one(self) -> int:
         """Evaluate at ``v = 1`` (equivalently ``q = 1``)."""
@@ -363,12 +375,22 @@ class TruncatedRSeries(_Terms):
                     key = (ve + shift, b1 + b2)
                     dest[key] = get(key, 0) + c1 * c2
 
+    def _addshift(self, dest: dict[tuple[int, int], int], shift: int) -> None:
+        """Add ``self * v**shift`` into the raw map ``dest``, dropping the
+        terms the shift pushes past the bound, as ``times_v`` does."""
+        top = self.q_order - shift
+        get = dest.get
+        for (ve, be), coeff in self.terms.items():
+            if ve <= top:
+                key = (ve + shift, be)
+                dest[key] = get(key, 0) + coeff
+
     def times_v(self, k: int) -> "TruncatedRSeries":
         if k == 0:
             return self
-        return TruncatedRSeries(
-            self.q_order, {(ve + k, be): c for (ve, be), c in self.terms.items()}
-        )
+        out: dict[tuple[int, int], int] = {}
+        self._addshift(out, k)
+        return self._like(out)
 
     def shift_a(self, delta: int) -> "TruncatedRSeries":
         """Substitute ``a -> q**delta * a``, i.e. ``b -> v**delta * b``.

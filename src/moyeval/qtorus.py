@@ -7,15 +7,30 @@ by the normal-ordering rule
     u^alpha * u^beta = v^(sum_{i>j} alpha_i beta_j c(i,j)) u^(alpha+beta),
 
 i.e. exponents always end up sorted by variable index, at the price of a
-power of ``v``.  The signature lists the nonzero entries ``c(i, j)``, ``j < i``,
-of each row once (``TorusSignature.lower``), and ``_mul_exps`` reads only
-those: the flag skew has two of them per vertex.
+power of ``v``.
+
+A monomial is keyed by the sorted tuple of the variable indices it holds,
+one entry per unit of exponent: ``u_2 u_5^2`` is ``(2, 5, 5)`` and the
+unit monomial is ``()``.  A key is as long as the monomial's degree, not
+as the variable count: a cycle algebra can have hundreds of variables
+(242 on five disjoint thetas), and the twisted products and series never
+go past degree ``N`` or the x-degree bound.  On keys the shift of
+``a * b`` is the sum of ``c(i, j)`` over the entries ``i`` of ``a`` and
+``j`` of ``b`` with ``j < i``, and the product's key is the merge of the
+two (``_mul_exps``).  An entry stands for one unit of exponent, so a key
+cannot hold a negative exponent.  None is needed: a product only adds
+exponents, so no computation forms a negative one, and the truncated
+series of :mod:`moyeval.homfly` file their terms by x-degree, which a
+negative exponent would leave without meaning.  ``TorusSignature.key``
+turns an exponent vector into a key and refuses a wrong length or a
+negative entry; the constructor ``TorusElement(signature, terms)``
+refuses keys that are not sorted tuples of indices of the signature.
 
 Coefficients are values of one exact ring from :mod:`moyeval.qexact` per
 element, never mixed.  Products need the ring's ``_addmul`` and ``_like``;
-``mu`` needs only ``+``, ``times_v`` and truth testing, so its image
-keeps the ring (and any truncation bound) of its input without knowing
-which ring that is.
+``mu`` needs ``_addshift`` and ``_like``, so its image keeps the ring
+(and any truncation bound) of its input without knowing which ring that
+is.
 
 ``TorusElement`` is built on the sparse-term base of those rings
 (``moyeval.qexact._Terms``), so its sums, negation and equality are the
@@ -28,9 +43,10 @@ the monomials left empty.  ``torus_mul`` is that loop on two elements;
 the graded series products of :mod:`moyeval.homfly` feed all their
 degree pairs into one accumulator.  ``_mul_linear`` multiplies by a
 linear factor ``1 + sum_t c_t x_t``, the factor of every twisted
-product, without building it: it reads each term's shifts against all
-variables at once.  Only the public constructor filters; ``times_v``
-goes through it, since shifting truncated coefficients can empty them.
+product, without building it: moving ``x_t`` past a key costs the skew
+of the key's entries above ``t``, and ``x_t`` lands in its sorted place.
+Only the public constructor validates keys and filters; results built
+from clean terms over the same keys go through ``_like``.
 
 Two concrete algebras are built from a diagram:
 
@@ -55,29 +71,32 @@ times ``v**phi(alpha)``, where the shift is the quadratic form
     phi(alpha) = sum_{l<t} alpha_l alpha_t P[l][t] + sum_t C(alpha_t, 2) P[t][t]
 
 in the K x K table ``P[l][t]`` of normal-ordering shifts of ``f_l``
-against ``f_t`` (``CycleAlgebra.image_shifts``, built on first use).  On a
-diagram the diagonal ``P[t][t]`` is 0, since a cycle holds at most one of
-``l`` and ``r`` at each vertex, but the form holds for any flag skew.  So
-the image works on exponent tuples, reads the table once per pair of
-variables a monomial holds, and shifts each coefficient once.
+against ``f_t`` (``CycleAlgebra.image_shifts``, built on first use).  On
+a key, ``phi`` is the sum of ``P[l][t]`` over its pairs of positions, ``l``
+at the earlier one.  On a diagram the diagonal ``P[t][t]`` is 0, since a
+cycle holds at most one of ``l`` and ``r`` at each vertex, but the form
+holds for any flag skew.  So the image reads the table once per pair of
+entries of a key, merges the supports of its entries into the image key,
+and shifts each coefficient once, into a raw map per image key.
 
 That sum of supports is the flow ``sum_t alpha_t slots(C_t)`` in another
 coordinate system: the flag monomial of a flow holds its color at both
 ends of every edge, twice.  ``CycleAlgebra.flow_table`` therefore runs the
 same loop on each cycle's color slots in the diagram's layout and decodes
-each slot vector once with ``PlanarDiagram.coloring_of``; it never builds
+each slot key once with ``PlanarDiagram.coloring_of``; it never builds
 a flag monomial, and internal colorings are not validated again.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add
+from itertools import groupby
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .cycles import Cycle, CycleSet
 from .diagram import Coloring, Flag, PlanarDiagram, ROLES
-from .qexact import QLaurent, _drop_zeros, _iadd, _Terms
+from .qexact import QLaurent, _drop_zeros, _Terms
 
 __all__ = [
     "TorusSignature",
@@ -122,6 +141,15 @@ class TorusSignature:
             skew[j][i] = -value
         return cls(names, skew)
 
+    def key(self, exps: Sequence[int]) -> tuple[int, ...]:
+        """The monomial key of an exponent vector: index ``i`` repeated ``exps[i]`` times."""
+        if len(exps) != len(self.names):
+            raise ValueError(f"exponent vector {tuple(exps)!r} has {len(exps)} entries, "
+                             f"not one per variable ({len(self.names)})")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"exponent vector {tuple(exps)!r} has a negative entry")
+        return tuple(i for i, e in enumerate(exps) for _ in range(e))
+
     def __len__(self) -> int:
         return len(self.names)
 
@@ -135,17 +163,29 @@ class TorusSignature:
 
 
 def _mul_exps(signature: TorusSignature, ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Normal-ordering shift (in v-units) and combined exponents.
+    """Normal-ordering shift (in v-units) and the merged key.
 
-    Reads only the nonzero lower skew entries that ``signature.lower`` lists.
+    The shift adds ``c(i, j)`` over the entries ``i`` of ``ea`` and ``j``
+    of ``eb`` with ``j < i``; ``eb`` is sorted, so each scan of it stops at
+    the first ``j >= i``.
     """
+    skew = signature.skew
     shift = 0
-    for i, row in signature.lower:
-        ai = ea[i]
-        if ai:
-            for j, c in row:
-                shift += ai * eb[j] * c
-    return shift, tuple(map(add, ea, eb))
+    for i in ea:
+        row = skew[i]
+        for j in eb:
+            if j >= i:
+                break
+            shift += row[j]
+    return shift, tuple(sorted(ea + eb))
+
+
+def _element(signature: TorusSignature, terms: dict) -> "TorusElement":
+    """An element over ``signature`` from clean terms with canonical keys, unchecked."""
+    out = object.__new__(TorusElement)
+    out.signature = signature
+    out.terms = terms
+    return out
 
 
 class TorusElement(_Terms):
@@ -157,10 +197,13 @@ class TorusElement(_Terms):
     def __init__(self, signature: TorusSignature, terms: Mapping[tuple[int, ...], object] | None = None):
         self.signature = signature
         self.terms: dict[tuple[int, ...], object] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if coeff:
-                    self.terms[tuple(exps)] = coeff
+        n = len(signature)
+        for key, coeff in (terms or {}).items():
+            if not (type(key) is tuple and all(type(i) is int and 0 <= i < n for i in key)
+                    and list(key) == sorted(key)):
+                raise ValueError(f"monomial key {key!r} is not a sorted tuple of variable indices below {n}")
+            if coeff:
+                self.terms[key] = coeff
 
     @classmethod
     def zero(cls, signature: TorusSignature) -> "TorusElement":
@@ -168,17 +211,15 @@ class TorusElement(_Terms):
 
     @classmethod
     def monomial(cls, signature: TorusSignature, exps: Sequence[int], coeff) -> "TorusElement":
-        return cls(signature, {tuple(exps): coeff})
+        """``coeff`` times the monomial with exponent vector ``exps``."""
+        return cls(signature, {signature.key(exps): coeff})
 
     def _check(self, other: "TorusElement") -> None:
         if self.signature != other.signature:
             raise ValueError("cannot combine elements over different signatures")
 
     def _like(self, terms: dict) -> "TorusElement":
-        out = object.__new__(TorusElement)
-        out.signature = self.signature
-        out.terms = terms
-        return out
+        return _element(self.signature, terms)
 
     def __mul__(self, other) -> "TorusElement":
         if isinstance(other, TorusElement):
@@ -186,17 +227,18 @@ class TorusElement(_Terms):
         return NotImplemented
 
     def times_v(self, k: int) -> "TorusElement":
-        return TorusElement(self.signature, {e: c.times_v(k) for e, c in self.terms.items()})
+        # shifting truncated coefficients can empty them
+        return self._like({e: s for e, c in self.terms.items() if (s := c.times_v(k))})
 
     def __repr__(self) -> str:
+        names = self.signature.names
         parts = []
-        for exps in sorted(self.terms):
-            mono = "*".join(
-                f"{self.signature.names[i]}^{e}" if e != 1 else self.signature.names[i]
-                for i, e in enumerate(exps)
-                if e
-            )
-            parts.append(f"({self.terms[exps]!r})*{mono or '1'}")
+        for key in sorted(self.terms):
+            factors = []
+            for i, run in groupby(key):
+                e = len(list(run))
+                factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
+            parts.append(f"({self.terms[key]!r})*{'*'.join(factors) or '1'}")
         return " + ".join(parts) or "0"
 
 
@@ -207,10 +249,10 @@ def _accumulate(acc: dict, signature: TorusSignature, x_terms: dict, y_terms: di
     for ea, ca in x_terms.items():
         addmul = ca._addmul
         for eb, cb in y_terms.items():
-            shift, exps = _mul_exps(signature, ea, eb)
-            dest = acc.get(exps)
+            shift, key = _mul_exps(signature, ea, eb)
+            dest = acc.get(key)
             if dest is None:
-                dest = acc[exps] = {}
+                dest = acc[key] = {}
             addmul(dest, cb, shift)
 
 
@@ -224,13 +266,13 @@ def _settle(acc: dict, terms: dict) -> dict:
     if acc:
         like = next(iter(terms.values()))._like
         empty = []
-        for exps, raw in acc.items():  # replacing values keeps the size
+        for key, raw in acc.items():  # replacing values keeps the size
             if _drop_zeros(raw):
-                acc[exps] = like(raw)
+                acc[key] = like(raw)
             else:
-                empty.append(exps)
-        for exps in empty:
-            del acc[exps]
+                empty.append(key)
+        for key in empty:
+            del acc[key]
     return acc
 
 
@@ -246,14 +288,16 @@ def _mul_linear(x: TorusElement, coeffs: Sequence, max_degree: int | None = None
     """``x * (1 + sum_t coeffs[t] * x_t)``, forming no term of x-degree above ``max_degree``.
 
     Equal to ``torus_mul`` against that linear element, minus its terms
-    above ``max_degree``.  Moving ``x_t`` left past ``x**ea`` costs
-    ``v**sigma_t`` with ``sigma_t = sum_{i>t} ea_i c(i, t)``; the whole
-    vector ``sigma`` is read from ``signature.lower`` once per term, not
-    once per pair.  Terms of x-degree ``max_degree`` meet only the 1.
+    above ``max_degree``.  Moving ``x_t`` left past the key ``ea`` costs
+    ``v**sigma_t``, with ``sigma_t`` the sum of ``c(i, t)`` over the
+    entries ``i > t`` of ``ea``; ``x_t`` then goes in between ``ea[:pos]``
+    (the entries ``<= t``) and ``ea[pos:]``.  The variables are visited in
+    ascending order, so ``pos`` only moves up, and ``sigma``, the sum of
+    the skew rows of ``ea[pos:]``, loses a row each time it does.  Terms of
+    x-degree ``max_degree`` meet only the 1.
     """
-    k = len(x.signature)
-    lower = x.signature.lower
-    units = [tuple(int(i == t) for i in range(k)) for t in range(k)]
+    skew = x.signature.skew
+    k = len(coeffs)
     acc: dict[tuple[int, ...], dict] = {}
     for ea, ca in x.terms.items():
         dest = acc.get(ea)
@@ -263,20 +307,25 @@ def _mul_linear(x: TorusElement, coeffs: Sequence, max_degree: int | None = None
             get = dest.get
             for key, c in ca.terms.items():
                 dest[key] = get(key, 0) + c
-        if max_degree is not None and sum(ea) >= max_degree:
+        if max_degree is not None and len(ea) >= max_degree:
             continue
-        sigma = [0] * k
-        for i, row in lower:
-            ai = ea[i]
-            if ai:
-                for j, c in row:
-                    sigma[j] += ai * c
-        for t, ct in enumerate(coeffs):
-            exps = tuple(map(add, ea, units[t]))
-            dest = acc.get(exps)
-            if dest is None:
-                dest = acc[exps] = {}
-            ca._addmul(dest, ct, sigma[t])
+        addmul = ca._addmul
+        sigma = (0,) * k
+        for i in ea:
+            sigma = tuple(map(add, sigma, skew[i]))
+        start = 0
+        for pos in range(len(ea) + 1):
+            stop = ea[pos] if pos < len(ea) else k
+            head, tail = ea[:pos], ea[pos:]
+            for t in range(start, stop):
+                key = head + (t,) + tail
+                dest = acc.get(key)
+                if dest is None:
+                    dest = acc[key] = {}
+                addmul(dest, coeffs[t], sigma[t])
+            if pos < len(ea):
+                sigma = tuple(map(sub, sigma, skew[stop]))
+                start = stop
     return x._like(_settle(acc, x.terms))
 
 
@@ -336,68 +385,80 @@ class CycleAlgebra:
         self.signature = TorusSignature(names, skew)
         self.rots = tuple(cycle.rot for cycle in self.variables)
         self.flag_algebra = FlagAlgebra(d)
-        self._image_exps = tuple(self.flag_algebra.cycle_exponents(c) for c in self.variables)
 
     def variable(self, index: int, coeff=None) -> TorusElement:
         """The monomial for variable ``index`` (0-based over nonempty cycles)."""
-        exps = [0] * len(self.signature)
-        exps[index] = 1
-        return TorusElement.monomial(self.signature, exps, coeff if coeff is not None else QLaurent.one())
+        return TorusElement(self.signature, {(index,): coeff if coeff is not None else QLaurent.one()})
 
     @cached_property
     def image_shifts(self) -> tuple[tuple[int, ...], ...]:
         """``P[l][t]``, the flag-side shift of ``mu(x_l)`` against ``mu(x_t)``.
 
-        Built on first read, so an algebra that never calls ``mu`` and is
-        never checked never pays for its K*K products.  ``check --suite mu``
-        compares ``P[i][j] - P[j][i]`` with the cycle skew, so it checks
-        this table.
+        One normal ordering per pair of cycle images, shift only: it reads
+        the lower entries of the flag signature against the images'
+        exponent vectors, and never merges the two.  Built on first read,
+        so an algebra that never calls ``mu`` and is never checked never
+        pays for its K*K pairs.  ``check --suite mu`` compares
+        ``P[i][j] - P[j][i]`` with the cycle skew, so it checks this table.
         """
-        flag_sig = self.flag_algebra.signature
-        images = self._image_exps
-        return tuple(tuple(_mul_exps(flag_sig, a, b)[0] for b in images) for a in images)
+        fa = self.flag_algebra
+        images = [fa.cycle_exponents(c) for c in self.variables]
+        table = []
+        for a in images:
+            # (a_i * c(i, j), j) over the lower entries of the rows a holds
+            weights = [(ai * c, j) for i, row in fa.signature.lower if (ai := a[i]) for j, c in row]
+            table.append(tuple(sum(w * b[j] for w, j in weights) for b in images))
+        return tuple(table)
 
-    def _image(self, element: TorusElement, supports: Sequence[Sequence[int]], size: int) -> dict:
-        """``{sum_t alpha_t * supports[t]: coeff * v**phi(alpha)}`` over the
-        terms ``coeff * x**alpha`` of ``element``, as exponent tuples of
-        length ``size``; ``supports[t]`` lists the indices variable ``t``
-        raises by one (an index may repeat).
+    def _image(self, element: TorusElement, supports: Sequence[tuple[int, ...]]) -> dict:
+        """``{image key: coeff * v**phi(key)}`` over the terms ``coeff * x**key``
+        of ``element``, where the image key is the sorted merge of
+        ``supports[t]`` over the entries ``t`` of ``key`` (a support lists
+        the indices its variable raises by one, sorted, repeats allowed).
 
-        Each term is read in one pass over the nonzero exponents of its
-        monomial, through the quadratic form in ``image_shifts`` that the
-        module docstring states.  Terms with equal keys are added.
+        ``phi`` is the quadratic form of the module docstring, read from
+        ``image_shifts`` once per pair of entries of the key.  Each term is
+        shifted into one raw map per image key through the ring's
+        ``_addshift``, which drops what the shift pushes past a truncation
+        bound, and the maps are cleaned once.
         """
         if element.signature != self.signature:
             raise ValueError("element does not belong to this cycle algebra")
         table = self.image_shifts
-        out: dict[tuple[int, ...], object] = {}
-        for exps, coeff in element.terms.items():
-            support = [(t, a) for t, a in enumerate(exps) if a]
-            shift, image = 0, [0] * size
-            for n, (t, a) in enumerate(support):
-                shift += a * (a - 1) // 2 * table[t][t]
-                for l, b in support[:n]:
-                    shift += b * a * table[l][t]
-                for i in supports[t]:
-                    image[i] += a
-            _iadd(out, tuple(image), coeff.times_v(shift))
-        return out
+        acc: dict[tuple[int, ...], dict] = {}
+        for key, coeff in element.terms.items():
+            shift, image = 0, ()
+            for n, t in enumerate(key):
+                for l in key[:n]:
+                    shift += table[l][t]
+                image += supports[t]
+            image = tuple(sorted(image))
+            dest = acc.get(image)
+            if dest is None:
+                dest = acc[image] = {}
+            coeff._addshift(dest, shift)
+        return _settle(acc, element.terms)
 
     def mu(self, element: TorusElement) -> TorusElement:
         """Apply the flag substitution homomorphism to a cycle-side element."""
-        supports = [[f for f, e in enumerate(image) for _ in range(e)] for image in self._image_exps]
-        flag_sig = self.flag_algebra.signature
-        return TorusElement(flag_sig, self._image(element, supports, len(flag_sig)))
+        fa = self.flag_algebra
+        supports = [fa.signature.key(fa.cycle_exponents(c)) for c in self.variables]
+        return _element(fa.signature, self._image(element, supports))
 
     def flow_table(self, element: TorusElement) -> dict[Coloring, object]:
         """The image of ``element`` as a table from flow colorings to coefficients.
 
         It is the image under ``mu``, keyed by the flow instead of its flag
-        monomial.  Keys are built as slot vectors, so each coloring
-        is decoded once; a flag monomial and its flow fix each other, so
-        the terms add up exactly as they do in ``mu``.
+        monomial.  Image keys are sorted slot lists, so each coloring is
+        decoded once; a flag monomial and its flow fix each other, so the
+        terms add up exactly as they do in ``mu``.
         """
         d = self.diagram
-        supports = [d.slots(c.edge_ids, c.circle_ids) for c in self.variables]
-        image = self._image(element, supports, d.slot_count)
-        return {d.coloring_of(key): coeff for key, coeff in image.items()}
+        supports = [tuple(sorted(d.slots(c.edge_ids, c.circle_ids))) for c in self.variables]
+        table = {}
+        for key, coeff in self._image(element, supports).items():
+            colors = [0] * d.slot_count
+            for i in key:
+                colors[i] += 1
+            table[d.coloring_of(colors)] = coeff
+        return table

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from moyeval.cli import _emit_json, format_qlaurent, main, parse_coloring_spec
+from moyeval.cli import _emit_json, _power, format_qlaurent, main, parse_coloring_spec
 from moyeval.cycles import CycleSet, pairing_doubled
 from moyeval.diagram import Coloring, builtin, builtin_names, serialize_diagram
 from moyeval.qexact import QLaurent
@@ -31,6 +31,30 @@ def test_format_qlaurent():
     assert format_qlaurent(QLaurent({-4: 1})) == "q^(-1)"
     assert format_qlaurent(QLaurent({-2: 1})) == "q^(-1/2)"
     assert format_qlaurent(QLaurent({2: 1, -2: 1})) == "q^(1/2) + q^(-1/2)"
+
+
+def fraction_power(var, quarter_units):
+    """The exponent rendering through ``Fraction``, as the formatter once did it."""
+    exp = Fraction(quarter_units, 4)
+    if exp == 0:
+        return None
+    if exp == 1:
+        return var
+    if exp.denominator == 1:
+        if exp.numerator > 0:
+            return f"{var}^{exp.numerator}"
+        return f"{var}^({exp.numerator})"
+    return f"{var}^({exp.numerator}/{exp.denominator})"
+
+
+def test_cached_exponents_match_the_fraction_rendering():
+    # twice over: the first call fills the cache, the second reads it
+    _power.cache_clear()
+    for _ in range(2):
+        for var in ("q", "a"):
+            for quarter_units in range(-64, 65):
+                assert _power(var, quarter_units) == fraction_power(var, quarter_units), quarter_units
+    assert _power.cache_info().hits == 2 * 129
 
 
 # -- argument handling --------------------------------------------------------

@@ -66,7 +66,7 @@ def linear_by_product(x, coeffs, max_degree=None):
     one = TruncatedRSeries.one(next(iter(x.terms.values())).q_order)
     product = torus_mul(x, linear_element(x.signature, one, coeffs))
     return TorusElement(x.signature, {
-        e: c for e, c in product.terms.items() if max_degree is None or sum(e) <= max_degree})
+        e: c for e, c in product.terms.items() if max_degree is None or len(e) <= max_degree})
 
 
 def neumann_invert(s):
@@ -113,9 +113,24 @@ def test_series_arithmetic_and_bound_mismatches():
         one * TruncatedTorusSeries.one(CycleAlgebra(builtin("theta")), 2, 8)
     with pytest.raises(ValueError, match="cannot raise a truncation bound"):
         one.retruncate(12)
-    # products file terms by x-degree, so the constructor rejects negative exponents
-    with pytest.raises(ValueError, match="nonnegative x-exponents"):
+    # products file terms by x-degree, and keys hold no negative exponent
+    with pytest.raises(ValueError, match="negative entry"):
         tts(ca, 2, 8, {(-1,): {(0, 0): 1}})
+
+
+def test_coefficient_refuses_an_exponent_vector_of_the_wrong_length():
+    # theta has two cycle variables; (1,) once read as a missing monomial
+    s = homfly_series(builtin("theta"), 2, 8).series
+    assert s.coefficient((1, 0)) != TruncatedRSeries.zero(8)
+    for exps in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="not one per variable"):
+            s.coefficient(exps)
+
+
+def test_coefficient_refuses_a_negative_exponent():
+    s = homfly_series(builtin("theta"), 2, 8).series
+    with pytest.raises(ValueError, match="negative entry"):
+        s.coefficient((2, -1))
 
 
 def test_series_invert_geometric():
@@ -150,7 +165,7 @@ def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
 
     def recording(sig, ea, eb):
         if sig == signature:  # not the flag side of mu
-            degree_sums.append(sum(ea) + sum(eb))
+            degree_sums.append(len(ea) + len(eb))
         return original(sig, ea, eb)
 
     coefficient_products = []
@@ -166,7 +181,7 @@ def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
     def recording_linear(x, coeffs, max_degree=None):
         before = len(coefficient_products)
         out = linear(x, coeffs, max_degree)
-        within = sum(len(coeffs) for e in x.terms if sum(e) + 1 <= max_degree)
+        within = sum(len(coeffs) for e in x.terms if len(e) + 1 <= max_degree)
         linear_pairs.append((len(coefficient_products) - before, within))
         return out
 
@@ -221,13 +236,18 @@ def test_series_invert_requires_unit_constant_term():
 
 
 def assert_clean(value):
-    """No stored coefficient is falsy and no term lies above a v- or x-degree bound."""
+    """No stored coefficient is falsy, no term lies above a v- or x-degree
+    bound, and every monomial key is canonical: a sorted tuple of indices."""
     for key, coeff in value.terms.items():
         assert coeff, (type(value).__name__, key)
         if isinstance(value, TruncatedRSeries):
             assert key[0] <= value.q_order, (key, value.q_order)
         if isinstance(value, TruncatedTorusSeries):
-            assert sum(key) <= value.x_degree, (key, value.x_degree)
+            assert len(key) <= value.x_degree, (key, value.x_degree)
+        if isinstance(value, (TorusElement, TruncatedTorusSeries)):
+            n = len(getattr(value, "element", value).signature)
+            assert type(key) is tuple and list(key) == sorted(key), key
+            assert all(type(i) is int and 0 <= i < n for i in key), (key, n)
         if not isinstance(coeff, int):
             assert_clean(coeff)
 
@@ -240,7 +260,7 @@ def test_every_operation_keeps_terms_clean():
     rng = random.Random(7321)
     ca = CycleAlgebra(builtin("tetrahedron"))  # three cycles, skewed by +-4
     x_degree, q_order = 3, 8
-    zeros = (0,) * len(ca.signature)
+    k = len(ca.signature)
 
     def laurent():
         return QLaurent({rng.randrange(-6, 7): rng.randrange(-2, 3) for _ in range(4)})
@@ -252,22 +272,22 @@ def test_every_operation_keeps_terms_clean():
 
     def element(coeff):
         return TorusElement(ca.signature, {
-            tuple(rng.randrange(0, 2) for _ in zeros): coeff() for _ in range(4)})
+            tuple(sorted(rng.randrange(k) for _ in range(rng.randrange(4)))): coeff() for _ in range(4)})
 
     def invert(s):
         # set the constant term to 1, then invert
         constant = s.constant_term() - TruncatedRSeries.one(q_order)
         return series_invert(s - TruncatedTorusSeries(
-            x_degree, q_order, TorusElement.monomial(ca.signature, zeros, constant)))
+            x_degree, q_order, TorusElement(ca.signature, {(): constant})))
 
     def linear(coeff):
         # the linear kernel, with and without a degree cap
-        return [lambda x, y: _mul_linear(x, [coeff() for _ in zeros], rng.choice((None, 1, 2)))]
+        return [lambda x, y: _mul_linear(x, [coeff() for _ in range(k)], rng.choice((None, 1, 2)))]
 
     shared = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
               lambda x, y: -x, lambda x, y: x - x]
     # the step _poch_inf takes: a capped linear kernel on the series' terms
-    series_linear = [lambda x, y: x._like(_mul_linear(x.element, [rseries() for _ in zeros], x_degree).terms)]
+    series_linear = [lambda x, y: x._like(_mul_linear(x.element, [rseries() for _ in range(k)], x_degree).terms)]
     times_v = [lambda x, y: x.times_v(rng.randrange(-4, q_order + 4))]
     shift_a = [lambda x, y: x.shift_a(rng.randrange(-q_order, q_order + 1))]
     retruncate = [lambda x: x.retruncate(rng.randrange(-2, q_order + 1))]
@@ -417,9 +437,9 @@ def test_the_skew_grading_is_super_additive():
     # lam(a+b) - lam(a) - lam(b) + sig(a, b) >= 0, with sig the shift torus_mul applies
     for d in (builtin("theta"), parse_diagram(TWO_THETAS), builtin("tetrahedron")):
         signature = CycleAlgebra(d).signature
-        monomials = _monomials(len(signature), 3)
+        monomials = [signature.key(m) for m in _monomials(len(signature), 3)]
         assert any(e < 0 for row in signature.skew for e in row)
-        lam = {m: _lam(signature.skew, m) for m in _monomials(len(signature), 6)}
+        lam = {signature.key(m): _lam(signature.skew, m) for m in _monomials(len(signature), 6)}
         for a in monomials:
             for b in monomials:
                 shift, total = moyeval.qtorus._mul_exps(signature, a, b)
@@ -444,7 +464,7 @@ def test_headroom_is_the_maximum_over_monomials():
         # cycles multiplied one by one, not from the table _headroom reads
         series = shift = 0
         for alpha in _monomials(len(ca.signature), x_degree):
-            phi, _ = fold_image(ca, alpha)
+            phi, _ = fold_image(ca, ca.signature.key(alpha))
             lam = _lam(ca.signature.skew, alpha)
             series = max(series, lam + max(0, -phi))
             shift = max(shift, lam + 4 * r_max * sum(alpha))
@@ -466,9 +486,9 @@ def test_defining_equation_residual_vanishes():
 def test_defining_equation_checks_the_kept_series():
     hs = homfly_series(builtin("theta"), 3, 8)
     terms = hs.series_work.element.terms
-    exps = next(e for e in sorted(terms) if any(e))
+    key = next(e for e in sorted(terms) if e)
     altered = dict(terms)
-    altered[exps] = terms[exps] + TruncatedRSeries.monomial(hs.series_work.q_order, 4, 0)
+    altered[key] = terms[key] + TruncatedRSeries.monomial(hs.series_work.q_order, 4, 0)
     broken = hs._replace(
         series_work=TruncatedTorusSeries(
             hs.x_degree,

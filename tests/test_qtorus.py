@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -18,31 +19,32 @@ from moyeval.qtorus import (
     _mul_linear,
     torus_mul,
 )
+from test_chain import chain
+from test_cycles import thetas
 from test_statesum import CIRCLE_PLACES, TWO_THETAS, theta_with_circles
 
 FIXTURES = ("unknot", "theta", "tetrahedron")
 
 
-def fold_image(ca, alpha):
-    """``mu(x**alpha)`` as ``(phi, exps)``: the flag monomials of the cycles,
-    multiplied by ``torus_mul`` in ascending index order."""
+def fold_image(ca, key):
+    """``mu(x**key)`` as ``(phi, flag key)``: the flag monomials of the
+    cycles of ``key``, multiplied by ``torus_mul`` in ascending index order."""
     fa = ca.flag_algebra
-    product = TorusElement.monomial(fa.signature, (0,) * len(fa.signature), QLaurent.one())
-    for cycle, power in zip(ca.variables, alpha):
-        for _ in range(power):
-            image = TorusElement.monomial(fa.signature, fa.cycle_exponents(cycle), QLaurent.one())
-            product = torus_mul(product, image)
-    ((exps, coeff),) = product.terms.items()
+    product = TorusElement(fa.signature, {(): QLaurent.one()})
+    for t in key:
+        image = TorusElement.monomial(fa.signature, fa.cycle_exponents(ca.variables[t]), QLaurent.one())
+        product = torus_mul(product, image)
+    ((image_key, coeff),) = product.terms.items()
     (phi,) = coeff.terms
-    return phi, exps
+    return phi, image_key
 
 
 def mu_by_fold(ca, element):
     """Reference ``mu``: each term's coefficient shifted by its folded image."""
     out = TorusElement.zero(ca.flag_algebra.signature)
-    for alpha, coeff in element.terms.items():
-        phi, exps = fold_image(ca, alpha)
-        out = out + TorusElement.monomial(out.signature, exps, coeff.times_v(phi))
+    for key, coeff in element.terms.items():
+        phi, image_key = fold_image(ca, key)
+        out = out + TorusElement(out.signature, {image_key: coeff.times_v(phi)})
     return out
 
 
@@ -53,11 +55,82 @@ def small_signature():
 
 def linear_element(signature, one, coeffs):
     """The element ``one + sum_t coeffs[t] * x_t``, built term by term."""
-    k = len(signature)
-    terms = {(0,) * k: one}
+    terms = {(): one}
     for t, coeff in enumerate(coeffs):
-        terms[tuple(int(i == t) for i in range(k))] = coeff
+        terms[(t,)] = coeff
     return TorusElement(signature, terms)
+
+
+def dense(key, k):
+    """The exponent vector of a monomial key in ``k`` variables."""
+    exps = [0] * k
+    for i in key:
+        exps[i] += 1
+    return tuple(exps)
+
+
+def times_v_by_hand(coeff, k):
+    """``coeff * v**k``, written out so as to share no code with the rings."""
+    if isinstance(coeff, QLaurent):
+        return QLaurent({e + k: c for e, c in coeff.terms.items()})
+    return TruncatedRSeries(coeff.q_order, {(v + k, b): c for (v, b), c in coeff.terms.items()})
+
+
+def dense_shift(skew, a, b):
+    """The normal-ordering shift of exponent vectors ``a`` and ``b``: sum over i > j."""
+    return sum(a[i] * b[j] * skew[i][j] for i in range(len(a)) for j in range(i))
+
+
+def dense_product(x, y):
+    """``torus_mul`` by the dense formulas, on exponent vectors."""
+    signature = x.signature
+    k = len(signature)
+    out = {}
+    for ea, ca in x.terms.items():
+        a = dense(ea, k)
+        for eb, cb in y.terms.items():
+            b = dense(eb, k)
+            exps = tuple(map(operator.add, a, b))
+            term = times_v_by_hand(ca * cb, dense_shift(signature.skew, a, b))
+            out[exps] = out[exps] + term if exps in out else term
+    return TorusElement(signature, {signature.key(e): c for e, c in out.items()})
+
+
+def dense_image(ca, element, supports, size):
+    """``{sum_t alpha_t supports[t]: coeff * v**phi(alpha)}`` on exponent
+    vectors, with ``phi`` the quadratic form in ``image_shifts``."""
+    table, k = ca.image_shifts, len(ca.signature)
+    out = {}
+    for key, coeff in element.terms.items():
+        alpha = dense(key, k)
+        phi = sum(alpha[l] * alpha[t] * table[l][t] for t in range(k) for l in range(t))
+        phi += sum(alpha[t] * (alpha[t] - 1) // 2 * table[t][t] for t in range(k))
+        image = [0] * size
+        for t, a in enumerate(alpha):
+            for i, e in enumerate(supports[t]):
+                image[i] += a * e
+        term = times_v_by_hand(coeff, phi)
+        image = tuple(image)
+        out[image] = out[image] + term if image in out else term
+    return {e: c for e, c in out.items() if c}
+
+
+def algebra_zoo():
+    """The cycle algebras of the built-ins, two and three thetas and chainK, K <= 3."""
+    diagrams = [builtin(name) for name in FIXTURES] + [thetas(2), thetas(3)]
+    return [CycleAlgebra(d) for d in diagrams + [chain(k) for k in (1, 2, 3)]]
+
+
+def poisoned(signature):
+    """``signature`` with a nonzero diagonal, which no kernel may read."""
+    out = TorusSignature(signature.names, signature.skew)
+    out.skew = tuple(tuple(7 if i == j else c for j, c in enumerate(row))
+                     for i, row in enumerate(signature.skew))
+    return out
+
+
+def random_key(rng, k, degree):
+    return tuple(sorted(rng.randrange(k) for _ in range(rng.randrange(degree + 1))))
 
 
 # -- signatures ---------------------------------------------------------------
@@ -85,8 +158,9 @@ def test_element_basics():
     assert zero.terms == {}
     assert (a - a) == zero
     assert a + b - b == a
-    assert a.terms == {(1, 0): QLaurent.one()}
-    assert a.times_v(3).terms == {(1, 0): QLaurent.monomial(3)}
+    assert a.terms == {(0,): QLaurent.one()}
+    assert a.times_v(3).terms == {(0,): QLaurent.monomial(3)}
+    assert repr(torus_mul(a, torus_mul(a, b))) == "(QLaurent({2: 1}))*u_0^2*u_1"
 
 
 def test_skew_commutation():
@@ -101,12 +175,8 @@ def test_skew_commutation():
 
 
 def test_normal_ordering_matches_the_dense_sum():
-    # _mul_exps reads only the nonzero lower entries; the reference reads them all
-    def dense(signature, a, b):
-        skew = signature.skew
-        shift = sum(a[i] * b[j] * skew[i][j] for i in range(len(a)) for j in range(i))
-        return shift, tuple(x + y for x, y in zip(a, b))
-
+    # _mul_exps on keys against the shift summed over exponent vectors; a
+    # poisoned diagonal shows a kernel that reads c(i, i)
     rng = random.Random(7321)
     signatures = []
     for n in (1, 2, 5, 9):
@@ -114,15 +184,39 @@ def test_normal_ordering_matches_the_dense_sum():
             entries = {(i, j): rng.choice((-3, -2, -1, 1, 2, 3))
                        for i in range(n) for j in range(i + 1, n) if rng.random() < density}
             signatures.append(TorusSignature.from_entries([f"u_{i}" for i in range(n)], entries))
-    for d in (builtin("theta"), builtin("tetrahedron"), parse_diagram(TWO_THETAS)):
-        ca = CycleAlgebra(d)
+    for ca in algebra_zoo() + [CycleAlgebra(parse_diagram(TWO_THETAS))]:
         signatures += [ca.signature, ca.flag_algebra.signature]
+    signatures += [poisoned(sig) for sig in signatures]
     for signature in signatures:
         n = len(signature)
         for _ in range(30):
-            a = tuple(rng.randrange(-2, 4) if rng.random() < 0.5 else 0 for _ in range(n))
-            b = tuple(rng.randrange(-2, 4) if rng.random() < 0.5 else 0 for _ in range(n))
-            assert _mul_exps(signature, a, b) == dense(signature, a, b), (signature, a, b)
+            a = tuple(rng.randrange(0, 4) if rng.random() < 0.5 else 0 for _ in range(n))
+            b = tuple(rng.randrange(0, 4) if rng.random() < 0.5 else 0 for _ in range(n))
+            expected = (dense_shift(signature.skew, a, b), signature.key(tuple(map(operator.add, a, b))))
+            assert _mul_exps(signature, signature.key(a), signature.key(b)) == expected, (signature, a, b)
+
+
+def test_products_match_the_dense_formulas():
+    # torus_mul on seeded random elements of the zoo, over both rings and
+    # with a poisoned diagonal, against the product on exponent vectors
+    rng = random.Random(2718)
+    for ca in algebra_zoo():
+        k = len(ca.signature)
+        for signature in (ca.signature, poisoned(ca.signature)):
+            for q_order in (None, 8):
+                for _ in range(3):
+                    terms = [(random_key(rng, k, 3), rng.randrange(-6, 9), rng.randrange(-3, 4))
+                             for _ in range(5)]
+                    x, y = [TorusElement(signature, {key: ring(v, c, q_order) for key, v, c in terms[i::2]})
+                            for i in (0, 1)]
+                    assert torus_mul(x, y) == dense_product(x, y)
+
+
+def ring(v, c, q_order=8):
+    """A one-term coefficient of either ring: ``QLaurent`` for ``q_order`` None."""
+    if q_order is None:
+        return QLaurent({v: c})
+    return TruncatedRSeries(q_order, {(v, -1): c})
 
 
 def test_linear_kernel_is_the_product_with_the_linear_element():
@@ -144,15 +238,39 @@ def test_linear_kernel_is_the_product_with_the_linear_element():
         k = len(signature)
         for one, coeff in ((QLaurent.one(), laurent), (TruncatedRSeries.one(8), rseries)):
             for _ in range(8):
-                x = TorusElement(signature, {
-                    tuple(rng.randrange(0, 3) for _ in range(k)): coeff() for _ in range(6)})
+                x = TorusElement.zero(signature)
+                for _ in range(6):
+                    x = x + TorusElement.monomial(signature, [rng.randrange(0, 3) for _ in range(k)], coeff())
                 coeffs = [coeff() for _ in range(k)]
                 assert _mul_linear(x, coeffs) == torus_mul(x, linear_element(signature, one, coeffs))
                 for cap in (0, 2, 4):
-                    below = TorusElement(signature, {e: c for e, c in x.terms.items() if sum(e) <= cap})
+                    below = TorusElement(signature, {e: c for e, c in x.terms.items() if len(e) <= cap})
                     full = torus_mul(below, linear_element(signature, one, coeffs))
-                    capped = {e: c for e, c in full.terms.items() if sum(e) <= cap}
+                    capped = {e: c for e, c in full.terms.items() if len(e) <= cap}
                     assert _mul_linear(below, coeffs, cap).terms == capped
+
+
+def test_linear_kernel_matches_the_dense_formulas():
+    # the kernel against the dense product with the explicit factor, on the
+    # zoo, over both rings, capped and uncapped, with a poisoned diagonal too
+    rng = random.Random(1618)
+    for ca in algebra_zoo():
+        k = len(ca.signature)
+        for signature in (ca.signature, poisoned(ca.signature)):
+            for q_order in (None, 8):
+                one = QLaurent.one() if q_order is None else TruncatedRSeries.one(q_order)
+                for _ in range(4):
+                    x = TorusElement(signature, {
+                        random_key(rng, k, 3): ring(rng.randrange(-6, 9), rng.randrange(-3, 4), q_order)
+                        for _ in range(5)})
+                    coeffs = [ring(rng.randrange(-4, 9), rng.randrange(-2, 3), q_order) for _ in range(k)]
+                    full = dense_product(x, linear_element(signature, one, coeffs))
+                    assert _mul_linear(x, coeffs) == full
+                    for cap in (0, 1, 2, 3):
+                        below = TorusElement(signature, {e: c for e, c in x.terms.items() if len(e) <= cap})
+                        capped = dense_product(below, linear_element(signature, one, coeffs))
+                        assert _mul_linear(below, coeffs, cap).terms == {
+                            e: c for e, c in capped.terms.items() if len(e) <= cap}
 
 
 def test_a_pair_above_the_bound_is_dropped_before_its_shift():
@@ -203,7 +321,7 @@ def test_associativity_against_commutative_shadow():
         out = {}
         for e1, c1 in s1.items():
             for e2, c2 in s2.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+                key = tuple(sorted(e1 + e2))
                 out[key] = out.get(key, 0) + c1 * c2
         return {k: c for k, c in out.items() if c}
 
@@ -251,10 +369,11 @@ def test_flag_commutation_relations():
     assert torus_mul(z_r, w) == torus_mul(w, z_r)
 
 
-def decode_flag_monomial(d, fa, exps):
+def decode_flag_monomial(d, fa, key):
     """Reference decoder: a flag monomial read as a coloring, or ``None``
     when the four entries of an edge (z and Z at both ends) or the two of a
     circle disagree, i.e. when the monomial is the image of no flow."""
+    exps = dense(key, len(fa.signature))
     edges, circles = {}, {}
     for e in d.edges:
         values = {exps[fa.z_index[e.tail]], exps[fa.z_index[e.head]],
@@ -277,14 +396,14 @@ def test_cycle_monomial_and_flow():
     for i, cycle in enumerate(ca.variables):
         img = ca.mu(ca.variable(i))
         assert img == TorusElement.monomial(fa.signature, fa.cycle_exponents(cycle), QLaurent.one())
-        (exps,) = img.terms
-        assert img.terms[exps] == QLaurent.one()
+        (key,) = img.terms
+        assert img.terms[key] == QLaurent.one()
         indicator = Coloring(edges={e: 1 for e in cycle.edge_ids}, circles={c: 1 for c in cycle.circle_ids})
         assert ca.flow_table(ca.variable(i)) == {indicator: QLaurent.one()}
         # both variables of every flag on the cycle appear exactly once
         for flag in cycle.halfedges:
-            assert exps[fa.z_index[flag]] == 1
-            assert exps[fa.Z_index[flag]] == 1
+            assert key.count(fa.z_index[flag]) == 1
+            assert key.count(fa.Z_index[flag]) == 1
 
 
 def test_flow_of_product_adds_indicators():
@@ -293,21 +412,21 @@ def test_flow_of_product_adds_indicators():
     r, g = keys.index((0, 1, 4, 5)), keys.index((0, 1, 3))
     flow = Coloring(edges={0: 2, 1: 2, 3: 1, 4: 1, 5: 1})
     product = torus_mul(ca.mu(ca.variable(r)), ca.mu(ca.variable(g)))
-    (exps,) = product.terms
-    assert decode_flag_monomial(ca.diagram, ca.flag_algebra, exps) == flow
+    (key,) = product.terms
+    assert decode_flag_monomial(ca.diagram, ca.flag_algebra, key) == flow
     assert set(ca.flow_table(torus_mul(ca.variable(r), ca.variable(g)))) == {flow}
 
 
 def test_flow_of_monomial_circle():
     d = builtin("unknot")
     fa = FlagAlgebra(d)
-    assert decode_flag_monomial(d, fa, (3, 3)) == Coloring(circles={0: 3})
-    assert decode_flag_monomial(d, fa, (2, 3)) is None
-    assert decode_flag_monomial(d, fa, (0, 0)) == Coloring()
+    assert decode_flag_monomial(d, fa, (0, 0, 0, 1, 1, 1)) == Coloring(circles={0: 3})
+    assert decode_flag_monomial(d, fa, (0, 0, 1, 1, 1)) is None
+    assert decode_flag_monomial(d, fa, ()) == Coloring()
     ca = CycleAlgebra(d)
     cube = TorusElement.monomial(ca.signature, (3,), QLaurent.one())
-    (exps,) = ca.mu(cube).terms
-    assert exps == (3, 3)
+    (key,) = ca.mu(cube).terms
+    assert key == (0, 0, 0, 1, 1, 1)
     assert ca.flow_table(cube) == {Coloring(circles={0: 3}): QLaurent.one()}
 
 
@@ -315,13 +434,12 @@ def test_flow_of_monomial_rejects_unbalanced_edges():
     d = builtin("theta")
     fa = FlagAlgebra(d)
     ca = CycleAlgebra(d)
-    (exps,) = ca.mu(ca.variable(0)).terms
-    assert decode_flag_monomial(d, fa, exps) is not None
-    bumped = list(exps)
-    bumped[fa.z_index[Flag(0, "l")]] += 1
-    assert decode_flag_monomial(d, fa, tuple(bumped)) is None
+    (key,) = ca.mu(ca.variable(0)).terms
+    assert decode_flag_monomial(d, fa, key) is not None
+    bumped = tuple(sorted(key + (fa.z_index[Flag(0, "l")],)))
+    assert decode_flag_monomial(d, fa, bumped) is None
     # the slot-built table holds only flows, one per term of the image
-    assert list(ca.flow_table(ca.variable(0))) == [decode_flag_monomial(d, fa, exps)]
+    assert list(ca.flow_table(ca.variable(0))) == [decode_flag_monomial(d, fa, key)]
 
 
 def test_flow_table_is_mu_decoded():
@@ -339,12 +457,12 @@ def test_flow_table_is_mu_decoded():
             for _ in range(rng.randrange(1, 7)):
                 alpha = tuple(rng.randrange(0, 4) if rng.random() < 0.6 else 0 for _ in range(k))
                 v, c = rng.randrange(-6, 7), rng.randrange(-3, 4)
-                terms[alpha] = (QLaurent({v: c}), TruncatedRSeries(30, {(v, -1): c}))
+                terms[ca.signature.key(alpha)] = (QLaurent({v: c}), TruncatedRSeries(30, {(v, -1): c}))
             for ring in (0, 1):
                 element = TorusElement(ca.signature, {a: pair[ring] for a, pair in terms.items()})
                 decoded = {}
-                for exps, coeff in ca.mu(element).terms.items():
-                    coloring = decode_flag_monomial(d, ca.flag_algebra, exps)
+                for key, coeff in ca.mu(element).terms.items():
+                    coloring = decode_flag_monomial(d, ca.flag_algebra, key)
                     assert coloring is not None and coloring not in decoded
                     decoded[coloring] = coeff
                 assert ca.flow_table(element) == decoded
@@ -410,10 +528,31 @@ def test_mu_matches_the_fold_of_image_products():
             for _ in range(rng.randrange(1, 5)):
                 alpha = tuple(rng.randrange(0, 4) if rng.random() < 0.6 else 0 for _ in range(k))
                 v, c = rng.randrange(-6, 7), rng.randrange(1, 4)
-                terms[alpha] = (QLaurent({v: c}), TruncatedRSeries(30, {(v, -1): c}))
+                terms[ca.signature.key(alpha)] = (QLaurent({v: c}), TruncatedRSeries(30, {(v, -1): c}))
             for ring in (0, 1):
                 element = TorusElement(ca.signature, {a: pair[ring] for a, pair in terms.items()})
                 assert ca.mu(element) == mu_by_fold(ca, element)
+
+
+def test_image_matches_the_quadratic_form():
+    # mu and flow_table on the zoo against the image summed on exponent
+    # vectors, over both rings; truncated terms sit up to the bound, so a
+    # term the shift pushes past it must be dropped
+    rng = random.Random(3141)
+    for ca in algebra_zoo():
+        d, fa, k = ca.diagram, ca.flag_algebra, len(ca.signature)
+        flags = [fa.cycle_exponents(c) for c in ca.variables]
+        slots = [dense(d.slots(c.edge_ids, c.circle_ids), d.slot_count) for c in ca.variables]
+        assert k < 2 or any(p > 0 for row in ca.image_shifts for p in row)
+        for q_order in (None, 6):
+            for _ in range(6):
+                element = TorusElement(ca.signature, {
+                    random_key(rng, k, 4): ring(rng.randrange(-2, 7), rng.randrange(-3, 4), q_order)
+                    for _ in range(6)})
+                image = dense_image(ca, element, flags, len(fa.signature))
+                assert {dense(e, len(fa.signature)): c for e, c in ca.mu(element).terms.items()} == image
+                flows = dense_image(ca, element, slots, d.slot_count)
+                assert ca.flow_table(element) == {d.coloring_of(e): c for e, c in flows.items()}
 
 
 def test_image_shift_table_is_built_on_first_use():
@@ -448,6 +587,35 @@ def test_mu_respects_linearity_and_units():
     assert ca.mu(TorusElement.monomial(ca.signature, (0,) * len(ca.signature), QLaurent.one())) == unit
     e = ca.variable(0, QLaurent.monomial(2)) + ca.variable(1)
     assert ca.mu(e) == ca.mu(ca.variable(0)).times_v(2) + ca.mu(ca.variable(1))
+
+
+def test_monomial_refuses_an_exponent_vector_of_the_wrong_length():
+    # theta has two cycle variables; a third entry once made an element
+    # whose repr raised IndexError
+    ca = CycleAlgebra(builtin("theta"))
+    for exps in ((1, 0, 5), (1,), ()):
+        with pytest.raises(ValueError, match="not one per variable"):
+            TorusElement.monomial(ca.signature, exps, QLaurent.one())
+
+
+def test_monomial_refuses_a_negative_exponent():
+    ca = CycleAlgebra(builtin("theta"))
+    with pytest.raises(ValueError, match="negative entry"):
+        TorusElement.monomial(ca.signature, (1, -1), QLaurent.one())
+
+
+def test_element_keys_must_be_sorted():
+    sig = small_signature()
+    assert TorusElement(sig, {(0, 1, 1): QLaurent.one()}).terms == {(0, 1, 1): QLaurent.one()}
+    with pytest.raises(ValueError, match="not a sorted tuple of variable indices below 2"):
+        TorusElement(sig, {(1, 0): QLaurent.one()})
+
+
+def test_element_keys_must_hold_variable_indices():
+    sig = small_signature()
+    for key in ((0, 2), (-1, 0), (0, 1.0), (True,)):
+        with pytest.raises(ValueError, match="not a sorted tuple of variable indices below 2"):
+            TorusElement(sig, {key: QLaurent.one()})
 
 
 def test_mu_rejects_foreign_elements():
