@@ -129,6 +129,13 @@ def poisoned(signature):
     return out
 
 
+def ring(v, c, q_order=8):
+    """A one-term coefficient of either ring: ``QLaurent`` for ``q_order`` None."""
+    if q_order is None:
+        return QLaurent({v: c})
+    return TruncatedRSeries(q_order, {(v, -1): c})
+
+
 def random_key(rng, k, degree):
     return tuple(sorted(rng.randrange(k) for _ in range(rng.randrange(degree + 1))))
 
@@ -210,13 +217,6 @@ def test_products_match_the_dense_formulas():
                     x, y = [TorusElement(signature, {key: ring(v, c, q_order) for key, v, c in terms[i::2]})
                             for i in (0, 1)]
                     assert torus_mul(x, y) == dense_product(x, y)
-
-
-def ring(v, c, q_order=8):
-    """A one-term coefficient of either ring: ``QLaurent`` for ``q_order`` None."""
-    if q_order is None:
-        return QLaurent({v: c})
-    return TruncatedRSeries(q_order, {(v, -1): c})
 
 
 def test_linear_kernel_is_the_product_with_the_linear_element():
