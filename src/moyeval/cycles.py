@@ -38,7 +38,6 @@ table (free circles hold no flag and add zero rows).
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -240,15 +239,6 @@ class CycleSet:
             for i in held[1:]:
                 row = map(add, row, circuit_rows[i])
             yield list(row)
-
-    @cached_property
-    def pairing2(self) -> list[list[int]]:
-        """The doubled pairing matrix ``pairing2[i][j] = 2 <C_i, C_j>``:
-        the rows of ``pairing_rows``, kept.
-
-        Built on first read; the state sum never reads it.
-        """
-        return list(self.pairing_rows())
 
     def __len__(self) -> int:
         return len(self.cycles)

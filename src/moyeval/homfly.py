@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from .cycles import CycleSet
 from .diagram import Coloring, DiagramError, PlanarDiagram, format_coloring
 from .qexact import QLaurent, TruncatedRSeries, _Terms
 from .qtorus import CycleAlgebra, TorusElement, _accumulate, _mul_linear, _settle
@@ -151,6 +152,9 @@ class TruncatedTorusSeries(_Terms):
         return self._like({e: s for e, c in self.terms.items() if (s := c.shift_a(delta))})
 
     def retruncate(self, q_order: int) -> "TruncatedTorusSeries":
+        """Tighten the truncation bound.  Raising it is an error, even with no terms."""
+        if q_order > self.q_order:
+            raise ValueError(f"cannot raise a truncation bound ({self.q_order} -> {q_order})")
         terms = {e: t for e, c in self.terms.items() if (t := c.retruncate(q_order))}
         return TruncatedTorusSeries(self.x_degree, q_order, self.element._like(terms))
 
@@ -178,14 +182,11 @@ def _graded(s: TruncatedTorusSeries) -> list[dict]:
     return pieces
 
 
-def _linear_factor(
-    ca: CycleAlgebra, e_v: int, e_b: int, k: int, x_degree: int, q_order: int
-) -> TruncatedTorusSeries:
-    """``1 + sum_C v**((e_v+4k) rot) b**(e_b rot) x_C`` at the given bounds."""
+def _linear_factor(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int) -> TruncatedTorusSeries:
+    """``1 + sum_C v**(e_v rot) b**(e_b rot) x_C`` at the given bounds."""
     terms = {(): TruncatedRSeries.one(q_order)}
-    if x_degree >= 1:
-        for index, rot in enumerate(ca.rots):
-            terms[(index,)] = TruncatedRSeries.monomial(q_order, (e_v + 4 * k) * rot, e_b * rot)
+    for index, rot in enumerate(ca.rots):
+        terms[(index,)] = TruncatedRSeries.monomial(q_order, e_v * rot, e_b * rot)
     return TruncatedTorusSeries(x_degree, q_order, TorusElement(ca.signature, terms))
 
 
@@ -260,17 +261,12 @@ def _headroom(ca: CycleAlgebra, x_degree: int) -> tuple[int, int]:
 def _poch_inf(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int) -> TruncatedTorusSeries:
     """The infinite twisted product with the given slopes, mod truncation.
 
-    Requires a positive diagram: with every rotation +1 the twist-k factor
-    is congruent to 1 once ``e_v + 4k`` exceeds the bound, so the product
-    stops at ``k = (q_order - e_v) // 4``.  The result is exact only up to
-    the grading of ``_headroom``: callers read it at a target bound below
-    ``q_order`` by a headroom proven there.
+    Requires a positive diagram (``homfly_series`` checks): with every
+    rotation +1 the twist-k factor is congruent to 1 once ``e_v + 4k``
+    exceeds the bound, so the product stops at ``k = (q_order - e_v) // 4``.
+    The result is exact only up to the grading of ``_headroom``: callers
+    read it at a target bound below ``q_order`` by a headroom proven there.
     """
-    if not ca.cycle_set.is_positive:
-        raise DiagramError(
-            "infinite twisted products need a positive diagram "
-            "(every circuit must have rotation +1)"
-        )
     cutoff = max(0, (q_order - e_v) // 4 + 1)
     one = TruncatedTorusSeries.one(ca, x_degree, q_order)
     acc = one.element
@@ -347,9 +343,16 @@ def homfly_series(d: PlanarDiagram, x_degree: int, q_order: int) -> HomflySeries
     The whole pipeline (products, inversion, the flag substitution) runs at
     the internal bound ``q_order + M``, with ``M`` the headroom proven in
     ``_headroom``, and is re-truncated at the end, so every stored table
-    term is the true series coefficient.
+    term is the true series coefficient.  A diagram that is not positive is
+    refused before any of it runs.
     """
-    ca = CycleAlgebra(d)
+    cycle_set = CycleSet(d)
+    if not cycle_set.is_positive:
+        raise DiagramError(
+            "infinite twisted products need a positive diagram "
+            "(every circuit must have rotation +1)"
+        )
+    ca = CycleAlgebra(d, cycle_set)
     margin, _ = _headroom(ca, x_degree)
     poch_a, poch_ainv, series_work = _assemble(ca, x_degree, q_order + margin)
     flows = ca.flow_table(series_work.element)
@@ -405,8 +408,8 @@ def check_shift(hs: HomflySeries) -> CheckReport:
     work = bound + margin
 
     poch_a, poch_ainv, series = _assemble(ca, deg, work)
-    factor_qinv = _linear_factor(ca, -2, -2, 0, deg, work)
-    factor_ainv = _linear_factor(ca, 2, 2, 0, deg, work)
+    factor_qinv = _linear_factor(ca, -2, -2, deg, work)
+    factor_ainv = _linear_factor(ca, 2, 2, deg, work)
 
     sq_q_lhs = _poch_inf(ca, -2, -2, deg, work).retruncate(bound)
     sq_q_rhs = (factor_qinv * poch_a).retruncate(bound)

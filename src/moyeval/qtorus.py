@@ -58,26 +58,32 @@ Two concrete algebras are built from a diagram:
 
 ``CycleAlgebra``
     One variable per nonempty cycle, ordered canonically, skewed by four
-    times the intersection pairing: ``c(x_C, x_C') = 4 <C, C'>``.
+    times the intersection pairing: ``c(x_C, x_C') = 4 <C, C'>``.  The
+    skew is read in one pass over ``CycleSet.pairing_rows``; no other
+    copy of the pairing matrix is kept.
 
 The algebra map ``mu`` sends a cycle variable to the product of the
 flag variables it runs through (both ``z`` and ``Z`` of every halfedge,
 and the pair for every circle).  It is a ring homomorphism; the skew
 factors picked up on the flag side are exactly the vertex weights of the
-state sum.  The image of a cycle monomial ``x**alpha`` is the single flag
-monomial ``sum_t alpha_t f_t``, with ``f_t`` the exponents of ``mu(x_t)``,
-times ``v**phi(alpha)``, where the shift is the quadratic form
+state sum.  A cycle runs through each flag at most once, so ``mu(x_t)``
+is keyed by ``f_t``, the sorted indices of distinct flag variables
+(``FlagAlgebra.cycle_key``).  The image of a cycle monomial
+``x**alpha`` is the single flag monomial whose key merges ``alpha_t``
+copies of each ``f_t``, times ``v**phi(alpha)``, where the shift is the
+quadratic form
 
     phi(alpha) = sum_{l<t} alpha_l alpha_t P[l][t] + sum_t C(alpha_t, 2) P[t][t]
 
 in the K x K table ``P[l][t]`` of normal-ordering shifts of ``f_l``
-against ``f_t`` (``CycleAlgebra.image_shifts``, built on first use).  On
-a key, ``phi`` is the sum of ``P[l][t]`` over its pairs of positions, ``l``
-at the earlier one.  On a diagram the diagonal ``P[t][t]`` is 0, since a
-cycle holds at most one of ``l`` and ``r`` at each vertex, but the form
-holds for any flag skew.  So the image reads the table once per pair of
-entries of a key, merges the supports of its entries into the image key,
-and shifts each coefficient once, into a raw map per image key.
+against ``f_t`` (``CycleAlgebra.image_shifts``, built on first use from
+the nonzero lower entries of the flag skew).  On a key, ``phi`` is the
+sum of ``P[l][t]`` over its pairs of positions, ``l`` at the earlier
+one.  On a diagram the diagonal ``P[t][t]`` is 0, since a cycle holds at
+most one of ``l`` and ``r`` at each vertex, but the form holds for any
+flag skew.  So the image reads the table once per pair of entries of a
+key, merges the supports of its entries into the image key, and shifts
+each coefficient once, into a raw map per image key.
 
 That sum of supports is the flow ``sum_t alpha_t slots(C_t)`` in another
 coordinate system: the flag monomial of a flow holds its color at both
@@ -90,7 +96,7 @@ a flag monomial, and internal colorings are not validated again.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, islice
 from operator import add, sub
 from typing import Mapping, Sequence
 
@@ -110,7 +116,7 @@ __all__ = [
 class TorusSignature:
     """Ordered variable names plus an antisymmetric skew matrix (v-units)."""
 
-    __slots__ = ("names", "skew", "lower")
+    __slots__ = ("names", "skew")
 
     def __init__(self, names: Sequence[str], skew: Sequence[Sequence[int]]):
         self.names = tuple(names)
@@ -122,12 +128,6 @@ class TorusSignature:
             for j in range(n):
                 if self.skew[i][j] != -self.skew[j][i]:
                     raise ValueError(f"skew matrix is not antisymmetric at ({i}, {j})")
-        # (i, ((j, c(i, j)), ...)) for the rows with a nonzero entry left of the diagonal
-        self.lower = tuple(
-            (i, tuple((j, c) for j, c in enumerate(row[:i]) if c))
-            for i, row in enumerate(self.skew)
-            if any(row[:i])
-        )
 
     @classmethod
     def from_entries(cls, names: Sequence[str], entries: Mapping[tuple[int, int], int]) -> "TorusSignature":
@@ -361,16 +361,11 @@ class FlagAlgebra:
             names.append(f"Z[circle {c.id}]")
         self.signature = TorusSignature.from_entries(names, entries)
 
-    def cycle_exponents(self, cycle: Cycle) -> tuple[int, ...]:
-        """Exponents of a cycle's flag monomial: z and Z of each halfedge."""
-        exps = [0] * len(self.signature)
-        for halfedge in cycle.halfedges:
-            exps[self.z_index[halfedge]] += 1
-            exps[self.Z_index[halfedge]] += 1
-        for circle_id in cycle.circle_ids:
-            exps[self.z_circle[circle_id]] += 1
-            exps[self.Z_circle[circle_id]] += 1
-        return tuple(exps)
+    def cycle_key(self, cycle: Cycle) -> tuple[int, ...]:
+        """The key of a cycle's flag monomial: z and Z of each halfedge and circle, none twice."""
+        indices = [index[h] for h in cycle.halfedges for index in (self.z_index, self.Z_index)]
+        indices += [index[c] for c in cycle.circle_ids for index in (self.z_circle, self.Z_circle)]
+        return tuple(sorted(indices))
 
 
 class CycleAlgebra:
@@ -381,8 +376,8 @@ class CycleAlgebra:
         self.cycle_set = cycle_set or CycleSet(d)
         self.variables = self.cycle_set.cycles[1:]  # canonical indices 1..K
         names = [f"x_{i + 1}" for i in range(len(self.variables))]
-        skew = [[2 * p for p in row[1:]] for row in self.cycle_set.pairing2[1:]]
-        self.signature = TorusSignature(names, skew)
+        rows = islice(self.cycle_set.pairing_rows(), 1, None)  # the empty cycle has no variable
+        self.signature = TorusSignature(names, ([2 * p for p in row[1:]] for row in rows))
         self.rots = tuple(cycle.rot for cycle in self.variables)
         self.flag_algebra = FlagAlgebra(d)
 
@@ -394,20 +389,23 @@ class CycleAlgebra:
     def image_shifts(self) -> tuple[tuple[int, ...], ...]:
         """``P[l][t]``, the flag-side shift of ``mu(x_l)`` against ``mu(x_t)``.
 
-        One normal ordering per pair of cycle images, shift only: it reads
-        the lower entries of the flag signature against the images'
-        exponent vectors, and never merges the two.  Built on first read,
-        so an algebra that never calls ``mu`` and is never checked never
-        pays for its K*K pairs.  ``check --suite mu`` compares
-        ``P[i][j] - P[j][i]`` with the cycle skew, so it checks this table.
+        One normal ordering per pair of cycle images, shift only: it sums
+        the nonzero lower entries ``c(i, j)``, ``j < i``, of the flag skew
+        over the flags ``i`` of ``mu(x_l)`` and ``j`` of ``mu(x_t)``, and
+        never merges the two keys.  A cycle holds each flag once, so each
+        image key is read as a set of flags.  Built on first read and kept:
+        ``mu``, ``flow_table`` and ``_headroom`` all read it.
+        ``check --suite mu`` compares ``P[i][j] - P[j][i]`` with the cycle
+        skew, so it checks this table.
         """
         fa = self.flag_algebra
-        images = [fa.cycle_exponents(c) for c in self.variables]
+        lower = [[(j, c) for j, c in enumerate(row[:i]) if c] for i, row in enumerate(fa.signature.skew)]
+        images = [fa.cycle_key(c) for c in self.variables]
+        flag_sets = [frozenset(b) for b in images]
         table = []
         for a in images:
-            # (a_i * c(i, j), j) over the lower entries of the rows a holds
-            weights = [(ai * c, j) for i, row in fa.signature.lower if (ai := a[i]) for j, c in row]
-            table.append(tuple(sum(w * b[j] for w, j in weights) for b in images))
+            entries = [entry for i in a for entry in lower[i]]
+            table.append(tuple(sum(c for j, c in entries if j in b) for b in flag_sets))
         return tuple(table)
 
     def _image(self, element: TorusElement, supports: Sequence[tuple[int, ...]]) -> dict:
@@ -442,7 +440,7 @@ class CycleAlgebra:
     def mu(self, element: TorusElement) -> TorusElement:
         """Apply the flag substitution homomorphism to a cycle-side element."""
         fa = self.flag_algebra
-        supports = [fa.signature.key(fa.cycle_exponents(c)) for c in self.variables]
+        supports = [fa.cycle_key(c) for c in self.variables]
         return _element(fa.signature, self._image(element, supports))
 
     def flow_table(self, element: TorusElement) -> dict[Coloring, object]:

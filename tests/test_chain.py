@@ -61,7 +61,7 @@ def test_chain_is_positive_and_skewed(k):
     cs = CycleSet(chain(k))
     assert len(cs) == 2**k + 1 and cs.is_positive
     assert all(c.rot == 1 for c in cs.cycles[1:])
-    assert any(any(row) for row in cs.pairing2)
+    assert any(any(row) for row in cs.pairing_rows())
 
 
 @pytest.mark.parametrize("k", SIZES)

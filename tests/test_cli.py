@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import moyeval.cli
 from moyeval.cli import _emit_json, _power, format_qlaurent, main, parse_coloring_spec
 from moyeval.cycles import CycleSet, pairing_doubled
-from moyeval.diagram import Coloring, builtin, builtin_names, serialize_diagram
+from moyeval.diagram import Coloring, builtin, builtin_names, format_coloring, serialize_diagram
 from moyeval.qexact import QLaurent
 from moyeval.statesum import eval_table
 from test_cycles import thetas
@@ -141,6 +142,12 @@ def test_eval_prints_the_polynomial(capsys):
     assert code == 0 and out == "q^(1/2) + q^(-1/2)\n"
     code, out, _ = run(capsys, "eval", "unknot", "--N", "2", "--coloring", "c0=2")
     assert code == 0 and out == "1\n"
+    code, out, _ = run(capsys, "eval", "unknot", "--N", "2", "--coloring", "0=1", "--format", "json")
+    assert code == 0 and json.loads(out) == {
+        "n": 2,
+        "coloring": {"edges": {}, "circles": {"0": 1}},
+        "value": {"terms": [{"v": -2, "c": "1"}, {"v": 2, "c": "1"}]},
+    }
 
 
 def test_eval_reports_flow_violations(capsys):
@@ -238,6 +245,54 @@ def test_classical_check_reports_each_coloring(capsys):
 def test_series_check_agrees(capsys):
     code, out, _ = run(capsys, "series", "theta", "--N", "2", "--check")
     assert code == 0 and "colorings agree" in out
+
+
+@pytest.mark.parametrize("command", ["classical", "series"])
+def test_tables_print_the_same_rows_with_and_without_check(capsys, command):
+    for fmt in ("text", "json"):
+        code, plain, err = run(capsys, command, "tetrahedron", "--N", "2", "--format", fmt)
+        assert code == 0 and err == ""
+        code, checked, _ = run(capsys, command, "tetrahedron", "--N", "2", "--check", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            assert plain == checked
+        else:
+            assert checked.startswith(plain)
+            *passes, last = checked[len(plain):].splitlines()
+            assert all(line.startswith("PASS ") for line in passes)
+            assert last == f"all {len(passes)} colorings agree"
+
+
+@pytest.mark.parametrize("command, route, left, right", [
+    ("classical", "classical_series", "convolution count", "state count"),
+    ("series", "generating_series_N", "twisted product", "state sum"),
+])
+def test_table_checks_report_a_disagreement(capsys, monkeypatch, command, route, left, right):
+    # one value of the checked table doubled: one FAIL line naming both
+    # values, the count, and exit 3; in JSON the lines go to stderr
+    original = getattr(moyeval.cli, route)
+    changed = {}
+
+    def perturbed(*args, **kwargs):
+        table = original(*args, **kwargs)
+        coloring = max(table, key=Coloring.sort_key)
+        changed.update(coloring=coloring, value=table[coloring])
+        table[coloring] = table[coloring] + table[coloring]
+        return table
+
+    monkeypatch.setattr(moyeval.cli, route, perturbed)
+    code, out, err = run(capsys, command, "theta", "--N", "2", "--check")
+    assert code == 3 and err == ""
+    coloring, value = changed["coloring"], changed["value"]
+    fail = f"FAIL {format_coloring(coloring)}: {left} {value + value!r} vs {right} {value!r}"
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [fail]
+    assert lines[-1] == "1 coloring(s) disagree"
+    assert sum(line.startswith("PASS") for line in lines) == 5
+    code, out, err = run(capsys, command, "theta", "--N", "2", "--check", "--format", "json")
+    assert code == 3
+    assert len(json.loads(out)) == 6
+    assert fail in err.splitlines() and err.splitlines()[-1] == "1 coloring(s) disagree"
 
 
 def test_json_output_with_checks_is_one_document(capsys):

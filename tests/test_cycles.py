@@ -69,7 +69,7 @@ def test_unknot_cycles():
     assert len(cs) == 2
     assert cs[0].is_empty and cs[0].rot == 0
     assert cs[1].circle_ids == frozenset({0}) and cs[1].rot == 1
-    assert cs.pairing2 == [[0, 0], [0, 0]]
+    assert list(cs.pairing_rows()) == [[0, 0], [0, 0]]
     assert cs.is_positive
 
 
@@ -77,7 +77,7 @@ def test_theta_cycles():
     cs = CycleSet(builtin("theta"))
     assert [(tuple(sorted(c.edge_ids)), c.rot) for c in cs] == [
         ((), 0), ((0, 1), 1), ((0, 2), 1)]
-    assert cs.pairing2 == [[0, 0, 0], [0, 0, 2], [0, -2, 0]]
+    assert list(cs.pairing_rows()) == [[0, 0, 0], [0, 0, 2], [0, -2, 0]]
     assert cs.is_positive
     # traversal starts at the smallest vertex and follows edge directions
     assert cs[1].components[0].edge_ids == (1, 0)
@@ -98,7 +98,7 @@ def test_tetrahedron_cycles_and_pairing():
     cs = CycleSet(builtin("tetrahedron"))
     assert [(tuple(sorted(c.edge_ids)), c.rot) for c in cs] == [
         ((), 0), ((0, 1, 3), -1), ((0, 2, 4), 1), ((0, 1, 4, 5), 1)]
-    assert cs.pairing2 == [
+    assert list(cs.pairing_rows()) == [
         [0, 0, 0, 0],
         [0, 0, -2, -2],
         [0, 2, 0, 2],
@@ -112,7 +112,7 @@ def test_vertexless_circles():
     cs = CycleSet(TWO_CIRCLES)
     assert [(tuple(sorted(c.circle_ids)), c.rot) for c in cs] == [
         ((), 0), ((0,), 1), ((1,), -1), ((0, 1), 0)]
-    assert cs.pairing2 == [[0] * 4 for _ in range(4)]
+    assert list(cs.pairing_rows()) == [[0] * 4 for _ in range(4)]
     # the clockwise circle disqualifies the diagram from being positive
     assert not cs.is_positive
 
@@ -125,14 +125,14 @@ def test_disjoint_union_with_circle():
         ((0, 1), (7,)), ((0, 2), (7,))]
     # rotation adds over components; the circle contributes nothing to pairing
     by_key = {k: c for k, c in zip(keys, cs)}
+    rows = list(cs.pairing_rows())
     for edges in ((0, 1), (0, 2)):
         plain = by_key[(edges, ())]
         union = by_key[(edges, (7,))]
         assert union.rot == plain.rot + 1
         assert len(union.components) == 2
         i, j = cs.cycles.index(plain), cs.cycles.index(union)
-        for k in range(len(cs)):
-            assert cs.pairing2[i][k] == cs.pairing2[j][k]
+        assert rows[i] == rows[j]
 
 
 def _theta_with_two_circles():
@@ -152,11 +152,10 @@ PAIRING_DIAGRAMS = {
 
 @pytest.mark.parametrize("name", PAIRING_DIAGRAMS)
 def test_circuit_built_pairing_is_the_direct_pairing(name):
-    # pairing2 adds rows of a circuit table; every entry must equal the
+    # pairing_rows adds rows of a circuit table; every entry must equal the
     # pairing of the two cycles themselves
     cs = CycleSet(PAIRING_DIAGRAMS[name]())
     direct = [[pairing_doubled(c1, c2) for c2 in cs] for c1 in cs]
-    assert cs.pairing2 == direct
     assert list(cs.pairing_rows()) == direct
 
 

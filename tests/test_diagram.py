@@ -91,8 +91,9 @@ def test_coordinates_parsed_exactly():
 def test_bad_coordinates_rejected():
     with pytest.raises(DiagramError, match="cannot parse coordinate"):
         PlanarDiagram(circles=[{"id": 0, "center": ["x", 0], "radius": 1, "orientation": "cw"}])
-    with pytest.raises(DiagramError, match="is not a number"):
-        PlanarDiagram(circles=[{"id": 0, "center": [True, 0], "radius": 1, "orientation": "cw"}])
+    for bad in (True, None):
+        with pytest.raises(DiagramError, match=f"coordinate {bad} is not a number"):
+            PlanarDiagram(circles=[{"id": 0, "center": [bad, 0], "radius": 1, "orientation": "cw"}])
     with pytest.raises(DiagramError, match="must be a pair"):
         PlanarDiagram(circles=[{"id": 0, "center": [0, 0, 0], "radius": 1, "orientation": "cw"}])
 
@@ -106,6 +107,10 @@ def test_malformed_records_rejected():
         PlanarDiagram(circles=[{"id": 0}])
     with pytest.raises(DiagramError, match="unknown role"):
         build(edges=[{"id": 0, "tail": [1, "q"], "head": [0, "m"]}])
+    with pytest.raises(DiagramError, match=r"flag \[1\] must be a \(vertex, role\) pair"):
+        build(edges=[{"id": 0, "tail": [1], "head": [0, "m"]}])
+    with pytest.raises(DiagramError, match="has a non-integer vertex id"):
+        build(edges=[{"id": 0, "tail": ["1", "m"], "head": [0, "m"]}])
 
 
 # -- structural validation ----------------------------------------------------
@@ -123,6 +128,8 @@ def test_duplicate_ids_rejected():
                 {"id": 0, "center": [5, 0], "radius": 1, "orientation": "ccw"},
             ]
         )
+    with pytest.raises(DiagramError, match="circle id '0' is not an integer"):
+        PlanarDiagram(circles=[{"id": "0", "center": [0, 0], "radius": 1, "orientation": "ccw"}])
 
 
 def test_bad_kind_orientation_radius():

@@ -111,8 +111,11 @@ def test_series_arithmetic_and_bound_mismatches():
         one * TruncatedTorusSeries.one(ca, 2, 12)
     with pytest.raises(ValueError, match="different signatures"):
         one * TruncatedTorusSeries.one(CycleAlgebra(builtin("theta")), 2, 8)
-    with pytest.raises(ValueError, match="cannot raise a truncation bound"):
-        one.retruncate(12)
+    # a series refuses a raised bound itself, so one without terms does too
+    for series in (one, TruncatedTorusSeries.zero(ca, 2, 8)):
+        with pytest.raises(ValueError, match=r"cannot raise a truncation bound \(8 -> 12\)"):
+            series.retruncate(12)
+        assert series.retruncate(6).q_order == 6
     # products file terms by x-degree, and keys hold no negative exponent
     with pytest.raises(ValueError, match="negative entry"):
         tts(ca, 2, 8, {(-1,): {(0, 0): 1}})
@@ -329,7 +332,13 @@ def test_pochhammer_inf_b_exponent_signs():
                 assert all(sign * b >= 0 for _, b in coeff.terms)
 
 
-def test_pochhammer_inf_needs_positive_diagram():
+def test_pochhammer_inf_needs_positive_diagram(monkeypatch):
+    # homfly_series refuses before the cycle algebra, the headroom walk or any product
+    def unreachable(*args):
+        raise AssertionError("ran before the positivity check")
+
+    for name in ("CycleAlgebra", "_headroom", "_poch_inf"):
+        monkeypatch.setattr(moyeval.homfly, name, unreachable)
     with pytest.raises(DiagramError, match="positive diagram"):
         homfly_series(builtin("tetrahedron"), 2, 8)
 
@@ -546,6 +555,24 @@ def test_specialization_window_cuts_off_when_bound_is_small():
     one_color = Coloring(circles={0: 1})
     assert spec[one_color].window == 0
     assert spec[one_color].value == QLaurent.monomial(-2)  # v^2 lies past the window
+
+
+def test_specialization_reports_a_value_mismatch(monkeypatch):
+    # one state-sum value off by 1 inside the window: the check names both values
+    original = moyeval.homfly.eval_table
+    coloring = Coloring(circles={0: 1})
+
+    def perturbed(*args, **kwargs):
+        table = original(*args, **kwargs)
+        table[coloring] = table[coloring] + QLaurent.one()
+        return table
+
+    monkeypatch.setattr(moyeval.homfly, "eval_table", perturbed)
+    report = specialization_check(homfly_series(builtin("unknot"), 2, 16), 2)
+    exact = qbinom(2, 1)
+    assert not report.ok
+    assert report.detail == (f"circles 0=1: series specializes to {exact!r}, "
+                             f"state sum gives {exact + QLaurent.one()!r}")
 
 
 def test_specialization_diagnostics():
