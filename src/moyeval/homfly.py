@@ -18,10 +18,14 @@ only the pairs whose degrees sum to at most the bound, and ``series_invert``
 solves for the inverse one degree at a time from the same pieces instead of
 summing a Neumann series of full products.  Both feed all their pairs into
 one raw accumulator (``moyeval.qtorus._accumulate``) and clean it once.
+Each sorts every right-hand coefficient by v-exponent once (per product in
+``_product``, per piece in ``series_invert``), so a coefficient product
+stops at the first pair past the bound instead of testing every pair.
 ``_poch_inf`` multiplies by each twist factor through the linear-factor
 kernel ``moyeval.qtorus._mul_linear``, capped at the x-degree bound, so no
-factor is built as a series; ``check_shift`` still builds its two single
-linear factors with ``_linear_factor``.
+factor is built as a series, and a coefficient that the bound has emptied
+costs nothing; ``check_shift`` still builds its two single linear factors
+with ``_linear_factor``.
 
 The HOMFLY series of the diagram is
 
@@ -46,7 +50,11 @@ product therefore runs at an internal bound ``Q + M``, with the headroom
 ``M`` proven from a grading of the cycle algebra by the skew, and is
 re-truncated at the target ``Q`` only at the end.  ``_headroom`` holds the
 argument; ``check_shift``, whose ``shift_a`` substitution also lowers
-v-exponents, gets its own headroom from the same argument.
+v-exponents, gets its own headroom from the same argument.  The products
+the checks read only at ``Q`` are formed at ``Q`` by ``_product``: they
+keep a coefficient pair iff it lands within ``Q``, and the lemma at the
+end of ``_headroom`` shows that these are exactly the pairs the product at
+``Q + M`` keeps below ``Q``, so the checks compare the same numbers.
 """
 
 from __future__ import annotations
@@ -126,22 +134,10 @@ class TruncatedTorusSeries(_Terms):
         return out
 
     def __mul__(self, other: "TruncatedTorusSeries") -> "TruncatedTorusSeries":
-        """The product, forming only the pairs whose x-degrees sum to at most the bound.
-
-        Piece ``D - k`` of ``self`` meets the terms of ``other`` of x-degree
-        at most ``k``; the module docstring says why this is exact.
-        """
+        """The product, forming only the pairs whose x-degrees sum to at most the bound."""
         if not isinstance(other, TruncatedTorusSeries):
             return NotImplemented
-        self._check(other)
-        left = _graded(self)
-        acc: dict = {}
-        below: dict = {}  # the terms of other of x-degree <= k
-        for k, piece in enumerate(_graded(other)):
-            below.update(piece)
-            if left[self.x_degree - k]:
-                _accumulate(acc, self.element.signature, left[self.x_degree - k], below)
-        return self._like(_settle(acc, self.terms))
+        return _product(self, other, self.q_order)
 
     def shift_a(self, delta: int) -> "TruncatedTorusSeries":
         """Apply ``a -> q**delta * a`` to every coefficient.
@@ -180,6 +176,26 @@ def _graded(s: TruncatedTorusSeries) -> list[dict]:
     for key, coeff in s.terms.items():
         pieces[len(key)][key] = coeff
     return pieces
+
+
+def _product(x: TruncatedTorusSeries, y: TruncatedTorusSeries, bound: int) -> TruncatedTorusSeries:
+    """``(x * y).retruncate(bound)``, forming only the pairs that land within the bounds.
+
+    Piece ``D - k`` of ``x`` meets the terms of ``y`` of x-degree at most
+    ``k``; the module docstring says why this is exact.  Each coefficient
+    of ``y`` is sorted by v-exponent once, by ``_operand(bound)``, so the
+    coefficient products stop at ``bound``.
+    """
+    x._check(y)
+    left = _graded(x)
+    acc: dict = {}
+    below: dict = {}  # the terms of y of x-degree <= k
+    for k, piece in enumerate(_graded(y)):
+        below.update((key, coeff._operand(bound)) for key, coeff in piece.items())
+        if left[x.x_degree - k]:
+            _accumulate(acc, x.element.signature, left[x.x_degree - k], below)
+    terms = _settle(acc, {(): TruncatedRSeries.zero(bound)})  # wrapped at ``bound``
+    return TruncatedTorusSeries(x.x_degree, bound, x.element._like(terms))
 
 
 def _linear_factor(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int) -> TruncatedTorusSeries:
@@ -229,6 +245,18 @@ def _headroom(ca: CycleAlgebra, x_degree: int) -> tuple[int, int]:
     ``2R``-exact, and ``shift_a(2)`` lowers ``e`` by at most ``4R |alpha|``
     (b-exponents are at least ``-2R |alpha|``).  So
     ``M_shift = max_{|alpha| <= D} (lam(alpha) + 4R |alpha|) + 2R``.
+
+    Target-bound products.  A product read only after ``retruncate(Q)``
+    (the one of ``check_fphi`` and the three final ones of
+    ``check_shift``) is formed by ``_product(x, y, Q)``, which keeps a
+    coefficient pair iff ``e1 + e2 <= W`` and ``e1 + e2 + shift <= Q``:
+    exactly the pairs of ``x * y`` that the re-truncation keeps.  The
+    first condition never binds.  By the identity above and ``lam >= 0``,
+    ``sig(alpha, beta) >= -lam(alpha + beta)``, and for
+    ``|alpha + beta| <= D`` that is at least ``-(W - Q)``, because both
+    ``M`` and ``M_shift`` are at least ``max lam``.  So a pair with
+    ``e1 + e2 > W`` lands above ``Q``, and the rule is just
+    ``e1 + e2 + shift <= Q``.
 
     Both maxima come from one walk over the monomials as ascending index
     lists, the order in which ``mu`` multiplies the images.  Appending index
@@ -292,7 +320,7 @@ def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
     if s.constant_term() != TruncatedRSeries.one(s.q_order):
         raise ValueError("series is not invertible here: constant term must be exactly 1")
     pieces = _graded(s)
-    negated = [{key: -coeff for key, coeff in piece.items()} for piece in pieces]
+    negated = [{key: (-coeff)._operand() for key, coeff in piece.items()} for piece in pieces]
     inverse = pieces[:1]
     for d in range(1, s.x_degree + 1):
         acc: dict = {}
@@ -374,11 +402,11 @@ def check_fphi(hs: HomflySeries) -> CheckReport:
     """Verify ``G * poch(a^{-1}) == poch(a)`` at the stored bounds.
 
     The residual is formed from the products ``hs`` keeps at its work
-    bound and compared after truncating back, so the comparison is between
-    true coefficients (see ``_headroom``).
+    bound, their product formed only as far as the target bound, so the
+    comparison is between true coefficients (see ``_headroom``).
     """
     bound, work = hs.q_order, hs.poch_a.q_order
-    lhs = (hs.series_work * hs.poch_ainv).retruncate(bound)
+    lhs = _product(hs.series_work, hs.poch_ainv, bound)
     rhs = hs.poch_a.retruncate(bound)
     residual = lhs - rhs
     compared = len(lhs.element.terms.keys() | rhs.element.terms.keys())
@@ -399,8 +427,9 @@ def check_shift(hs: HomflySeries) -> CheckReport:
     the shift lowers v-exponents by up to twice the largest negative
     b-exponent, and the two single linear factors involved carry negative
     v-slopes; ``_headroom`` proves that this headroom makes every compared
-    term exact.  The two auxiliary identities peel one linear factor off
-    an infinite product after re-indexing its twists.
+    term exact; the products read only at the target bound are formed
+    only as far as it.  The two auxiliary identities peel one linear
+    factor off an infinite product after re-indexing its twists.
     """
     ca = hs.cycle_algebra
     deg, bound = hs.x_degree, hs.q_order
@@ -412,14 +441,14 @@ def check_shift(hs: HomflySeries) -> CheckReport:
     factor_ainv = _linear_factor(ca, 2, 2, deg, work)
 
     sq_q_lhs = _poch_inf(ca, -2, -2, deg, work).retruncate(bound)
-    sq_q_rhs = (factor_qinv * poch_a).retruncate(bound)
+    sq_q_rhs = _product(factor_qinv, poch_a, bound)
     sq_q = CheckReport(
         "reindex-q",
         sq_q_lhs == sq_q_rhs,
         "q-inverse product equals its first factor times the plain product",
     )
 
-    sq_a_lhs = (factor_ainv * _poch_inf(ca, 6, 2, deg, work)).retruncate(bound)
+    sq_a_lhs = _product(factor_ainv, _poch_inf(ca, 6, 2, deg, work), bound)
     sq_a_rhs = poch_ainv.retruncate(bound)
     sq_a = CheckReport(
         "reindex-a",
@@ -428,7 +457,7 @@ def check_shift(hs: HomflySeries) -> CheckReport:
     )
 
     main_lhs = series.shift_a(2).retruncate(bound)
-    main_rhs = (factor_qinv * series * factor_ainv).retruncate(bound)
+    main_rhs = _product(factor_qinv * series, factor_ainv, bound)
     main = CheckReport(
         "conjugate",
         main_lhs == main_rhs,

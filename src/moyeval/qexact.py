@@ -36,6 +36,12 @@ product loop, ``_addmul(dest, other, shift)``, adds
 and ``_drop_zeros`` then deletes them from that same map before
 ``_like`` wraps it.  The quantum-torus products feed all their
 coefficient pairs into such raw maps, so no ring value is built per pair.
+``other`` is the right operand the ring's ``_operand()`` makes, once per
+product, not per pair: a ``QLaurent`` is its own operand, and a
+``TruncatedRSeries`` gives its terms sorted by v-exponent together with
+the bound the product is read at, so each scan stops at that bound and a
+product read at a lower bound than its factors forms only what lands
+there.
 ``_addshift(dest, shift)`` adds ``self * v**shift`` the same way, dropping
 what the shift pushes past a bound; ``times_v`` and the image ``mu`` of
 the quantum torus are built on it.
@@ -173,6 +179,10 @@ class QLaurent(_Terms):
         out: dict[int, int] = {}
         self._addmul(out, other, 0)
         return self._like(_drop_zeros(out))
+
+    def _operand(self) -> "QLaurent":
+        """The right operand of ``_addmul``: the polynomial itself."""
+        return self
 
     def _addmul(self, dest: dict[int, int], other: "QLaurent", shift: int) -> None:
         """Add ``self * other * v**shift`` into the raw map ``dest``, zeros left in place."""
@@ -353,27 +363,52 @@ class TruncatedRSeries(_Terms):
         if not isinstance(other, TruncatedRSeries):
             return NotImplemented
         out: dict[tuple[int, int], int] = {}
-        self._addmul(out, other, 0)
+        self._addmul(out, other._operand(), 0)
         return self._like(_drop_zeros(out))
 
-    def _addmul(self, dest: dict[tuple[int, int], int], other: "TruncatedRSeries", shift: int) -> None:
+    def _operand(self, bound: int | None = None) -> tuple:
+        """The right operand of ``_addmul``, for a product read at ``bound``.
+
+        ``(q_order, bound, rows)``: the rows are the terms as
+        ``(v, b, coeff)`` sorted by v-exponent, and ``bound`` defaults to
+        ``q_order``.  A product sorts each right-hand coefficient once and
+        reuses the rows for every term that meets it.
+        """
+        rows = sorted((ve, be, coeff) for (ve, be), coeff in self.terms.items())
+        return self.q_order, self.q_order if bound is None else bound, rows
+
+    def _addmul(self, dest: dict[tuple[int, int], int], other: tuple, shift: int) -> None:
         """Add ``self * other * v**shift`` into the raw map ``dest``, zeros left in place.
 
-        A pair is dropped before the shift: it is kept only when both
-        ``v1 + v2`` and ``v1 + v2 + shift`` are within the bound, so a
-        negative shift brings back no pair the product ``self * other``
-        drops.  ``moyeval.homfly._headroom`` proves its margin for this
-        rule.
+        ``other`` comes from ``_operand(bound)``.  A pair is kept only when
+        ``v1 + v2`` is within the common bound and ``v1 + v2 + shift`` is
+        within ``bound``, so the result is ``self * other * v**shift``
+        truncated at ``bound``, and a negative shift brings back no pair
+        the product ``self * other`` drops.  The rows are sorted, so the
+        scan stops at the first ``v2`` past the room ``v1`` leaves, and a
+        term with no room for the lowest ``v2`` opens no scan.
+        ``moyeval.homfly._headroom`` proves its margin for this rule.
         """
-        self._check(other)
-        top = self.q_order - max(shift, 0)
+        q_order, bound, rows = other
+        if q_order != self.q_order:
+            raise ValueError(f"truncation bound mismatch: {self.q_order} != {q_order}")
+        if not rows:
+            return
+        top = bound - shift
+        if top > q_order:
+            top = q_order
+        low = rows[0][0]
         get = dest.get
         for (v1, b1), c1 in self.terms.items():
-            for (v2, b2), c2 in other.terms.items():
-                ve = v1 + v2
-                if ve <= top:
-                    key = (ve + shift, b1 + b2)
-                    dest[key] = get(key, 0) + c1 * c2
+            room = top - v1
+            if room < low:
+                continue
+            base = v1 + shift
+            for v2, b2, c2 in rows:
+                if v2 > room:
+                    break
+                key = (base + v2, b1 + b2)
+                dest[key] = get(key, 0) + c1 * c2
 
     def _addshift(self, dest: dict[tuple[int, int], int], shift: int) -> None:
         """Add ``self * v**shift`` into the raw map ``dest``, dropping the

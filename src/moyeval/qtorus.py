@@ -27,8 +27,8 @@ negative entry; the constructor ``TorusElement(signature, terms)``
 refuses keys that are not sorted tuples of indices of the signature.
 
 Coefficients are values of one exact ring from :mod:`moyeval.qexact` per
-element, never mixed.  Products need the ring's ``_addmul`` and ``_like``;
-``mu`` needs ``_addshift`` and ``_like``, so its image keeps the ring
+element, never mixed.  Products need the ring's ``_operand``, ``_addmul``
+and ``_like``; ``mu`` needs ``_addshift`` and ``_like``, so its image keeps the ring
 (and any truncation bound) of its input without knowing which ring that
 is.
 
@@ -39,12 +39,17 @@ same code as theirs.  Products accumulate raw and clean once in place:
 with its normal-ordering shift, into one raw coefficient map per
 monomial through the ring's ``_addmul``, and ``_settle`` then deletes the
 zero entries from those same maps, wraps each with ``_like`` and drops
-the monomials left empty.  ``torus_mul`` is that loop on two elements;
-the graded series products of :mod:`moyeval.homfly` feed all their
-degree pairs into one accumulator.  ``_mul_linear`` multiplies by a
-linear factor ``1 + sum_t c_t x_t``, the factor of every twisted
-product, without building it: moving ``x_t`` past a key costs the skew
-of the key's entries above ``t``, and ``x_t`` lands in its sorted place.
+the monomials left empty.  The right-hand coefficients go in as the
+ring's operands, made once per product (for truncated series, terms
+sorted by v-exponent, so each coefficient product stops at its bound).
+``torus_mul`` is that loop on two elements; the graded series products
+of :mod:`moyeval.homfly` feed all their degree pairs into one
+accumulator.  ``_mul_linear`` multiplies by a linear factor
+``1 + sum_t c_t x_t``, the factor of every twisted product, without
+building it: moving ``x_t`` past a key costs the skew of the key's
+entries above ``t``, and ``x_t`` lands in its sorted place.  It finds
+the nonzero ``c_t`` once per factor and visits only those variables, so
+a coefficient that truncation has emptied costs nothing per term.
 Only the public constructor validates keys and filters; results built
 from clean terms over the same keys go through ``_like``.
 
@@ -96,7 +101,7 @@ a flag monomial, and internal colorings are not validated again.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import accumulate, groupby, islice
 from operator import add, sub
 from typing import Mapping, Sequence
 
@@ -124,10 +129,10 @@ class TorusSignature:
         n = len(self.names)
         if len(self.skew) != n or any(len(row) != n for row in self.skew):
             raise ValueError("skew matrix shape does not match the variable count")
-        for i in range(n):
-            for j in range(n):
-                if self.skew[i][j] != -self.skew[j][i]:
-                    raise ValueError(f"skew matrix is not antisymmetric at ({i}, {j})")
+        for i, (row, column) in enumerate(zip(self.skew, zip(*self.skew))):
+            if any(map(add, row, column)):
+                j = next(j for j, (a, b) in enumerate(zip(row, column)) if a + b)
+                raise ValueError(f"skew matrix is not antisymmetric at ({i}, {j})")
 
     @classmethod
     def from_entries(cls, names: Sequence[str], entries: Mapping[tuple[int, int], int]) -> "TorusSignature":
@@ -154,6 +159,8 @@ class TorusSignature:
         return len(self.names)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, TorusSignature):
             return NotImplemented
         return self.names == other.names and self.skew == other.skew
@@ -242,13 +249,14 @@ class TorusElement(_Terms):
         return " + ".join(parts) or "0"
 
 
-def _accumulate(acc: dict, signature: TorusSignature, x_terms: dict, y_terms: dict) -> None:
-    """Add the product of every pair of terms of ``x_terms`` and ``y_terms``
+def _accumulate(acc: dict, signature: TorusSignature, x_terms: dict, y_operands: dict) -> None:
+    """Add the product of every pair of terms of ``x_terms`` and ``y_operands``
     into ``acc``, which maps normal-ordered monomials to raw coefficient
-    maps; zeros stay until ``_settle``."""
+    maps; zeros stay until ``_settle``.  ``y_operands`` holds the right-hand
+    coefficients as the ring's ``_operand()`` made them, once per product."""
     for ea, ca in x_terms.items():
         addmul = ca._addmul
-        for eb, cb in y_terms.items():
+        for eb, cb in y_operands.items():
             shift, key = _mul_exps(signature, ea, eb)
             dest = acc.get(key)
             if dest is None:
@@ -280,7 +288,7 @@ def torus_mul(x: TorusElement, y: TorusElement) -> TorusElement:
     """Product in the quantum torus, collecting normal-ordered monomials."""
     x._check(y)
     acc: dict[tuple[int, ...], dict] = {}
-    _accumulate(acc, x.signature, x.terms, y.terms)
+    _accumulate(acc, x.signature, x.terms, {key: coeff._operand() for key, coeff in y.terms.items()})
     return x._like(_settle(acc, x.terms))
 
 
@@ -294,10 +302,15 @@ def _mul_linear(x: TorusElement, coeffs: Sequence, max_degree: int | None = None
     (the entries ``<= t``) and ``ea[pos:]``.  The variables are visited in
     ascending order, so ``pos`` only moves up, and ``sigma``, the sum of
     the skew rows of ``ea[pos:]``, loses a row each time it does.  Terms of
-    x-degree ``max_degree`` meet only the 1.
+    x-degree ``max_degree`` meet only the 1.  The zero coefficients are
+    found once per factor: only the ``live`` variables are visited, and
+    ``first[s]`` counts the live ones below ``s``.
     """
     skew = x.signature.skew
     k = len(coeffs)
+    operands = [coeff._operand() if coeff else None for coeff in coeffs]
+    live = [t for t, op in enumerate(operands) if op is not None]
+    first = list(accumulate((op is not None for op in operands), initial=0))
     acc: dict[tuple[int, ...], dict] = {}
     for ea, ca in x.terms.items():
         dest = acc.get(ea)
@@ -317,12 +330,12 @@ def _mul_linear(x: TorusElement, coeffs: Sequence, max_degree: int | None = None
         for pos in range(len(ea) + 1):
             stop = ea[pos] if pos < len(ea) else k
             head, tail = ea[:pos], ea[pos:]
-            for t in range(start, stop):
+            for t in live[first[start]:first[stop]]:
                 key = head + (t,) + tail
                 dest = acc.get(key)
                 if dest is None:
                     dest = acc[key] = {}
-                addmul(dest, coeffs[t], sigma[t])
+                addmul(dest, operands[t], sigma[t])
             if pos < len(ea):
                 sigma = tuple(map(sub, sigma, skew[stop]))
                 start = stop

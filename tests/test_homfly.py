@@ -22,6 +22,8 @@ from moyeval.homfly import (
 from moyeval.qexact import QLaurent, TruncatedRSeries, qbinom
 from moyeval.qtorus import CycleAlgebra, TorusElement, TorusSignature, _mul_linear, torus_mul
 from moyeval.statesum import eval_table
+from test_chain import chain
+from test_cycles import thetas
 from test_qtorus import fold_image, linear_element
 from test_statesum import TWO_THETAS
 
@@ -160,7 +162,9 @@ def test_graded_product_equals_the_uncapped_product():
 def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
     # the series products normal-order each pair through _mul_exps; the
     # linear kernel of the infinite products forms one coefficient product
-    # per (term, variable) pair, and must form only those of degree sum <= 3
+    # per (term, live variable) pair, and must form only those of degree
+    # sum <= 3.  Each coefficient product multiplies only the pairs that
+    # land within its bound, and none is made with an empty coefficient.
     theta = builtin("theta")
     signature = CycleAlgebra(theta).signature
     degree_sums = []
@@ -171,20 +175,35 @@ def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
             degree_sums.append(len(ea) + len(eb))
         return original(sig, ea, eb)
 
-    coefficient_products = []
+    made = [0]
+
+    class Counted(int):
+        def __mul__(self, other):
+            made[0] += 1
+            return int(self) * other
+
+    coefficient_products = []  # per call: (multiplications made, pairs within the bound)
     addmul = TruncatedRSeries._addmul
 
     def counting(self, dest, other, shift):
-        coefficient_products.append(shift)
-        return addmul(self, dest, other, shift)
+        q_order, bound, rows = other
+        assert rows, "a coefficient product with an empty coefficient"
+        top = min(q_order, bound - shift)
+        within = sum(1 for v1, _ in self.terms for v2, _, _ in rows if v1 + v2 <= top)
+        before = made[0]
+        addmul(self._like({key: Counted(c) for key, c in self.terms.items()}), dest, other, shift)
+        coefficient_products.append((made[0] - before, within, bound))
 
     linear_pairs = []
+    empty_offered = [0]
     linear = moyeval.homfly._mul_linear
 
     def recording_linear(x, coeffs, max_degree=None):
         before = len(coefficient_products)
         out = linear(x, coeffs, max_degree)
-        within = sum(len(coeffs) for e in x.terms if len(e) + 1 <= max_degree)
+        live = sum(1 for c in coeffs if c)
+        empty_offered[0] += len(coeffs) - live
+        within = sum(live for e in x.terms if len(e) + 1 <= max_degree)
         linear_pairs.append((len(coefficient_products) - before, within))
         return out
 
@@ -195,6 +214,118 @@ def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
     assert degree_sums and max(degree_sums) == 3
     assert linear_pairs and all(formed == within for formed, within in linear_pairs)
     assert sum(formed for formed, _ in linear_pairs) > 0
+    # the benchmark's theta job, whose check forms its product at the
+    # target bound; then two circles, whose two-circle cycle has rotation
+    # 2, so the later twist factors carry empty coefficients
+    coefficient_products.clear()
+    hs = homfly_series(theta, 5, 36)
+    in_series = len(coefficient_products)
+    assert check_fphi(hs).ok
+    bounds = [bound for _, _, bound in coefficient_products]
+    assert set(bounds[:in_series]) == {hs.poch_a.q_order} and set(bounds[in_series:]) == {36}
+    assert all(made == within for made, within, _ in coefficient_products)
+    assert sum(made for made, _, _ in coefficient_products) > 0
+    assert empty_offered == [0]
+    assert check_fphi(homfly_series(circles(2), 3, 12)).ok
+    assert empty_offered[0] > 0
+    assert all(formed == within for formed, within in linear_pairs)
+
+
+def circles(k):
+    """``k`` counterclockwise unit circles side by side: zero skew, rotations up to ``k``."""
+    return parse_diagram(json.dumps({"circles": [
+        {"id": i, "center": [4 * i, 0], "radius": 1, "orientation": "ccw"} for i in range(k)]}))
+
+
+def pairwise_product(x, y, bound):
+    """``(x * y).retruncate(bound)`` pair by pair, as ``{key: {(v, b): coeff}}``:
+    a coefficient pair is kept when ``v1 + v2`` is within the common bound
+    and ``v1 + v2 + shift`` within ``bound``."""
+    out = {}
+    for ea, ca in x.terms.items():
+        for eb, cb in y.terms.items():
+            if len(ea) + len(eb) > x.x_degree:
+                continue
+            shift, key = moyeval.qtorus._mul_exps(x.element.signature, ea, eb)
+            raw = out.setdefault(key, {})
+            for (v1, b1), c1 in ca.terms.items():
+                for (v2, b2), c2 in cb.terms.items():
+                    if v1 + v2 <= x.q_order and v1 + v2 + shift <= bound:
+                        term = (v1 + v2 + shift, b1 + b2)
+                        raw[term] = raw.get(term, 0) + c1 * c2
+    out = {key: {term: c for term, c in raw.items() if c} for key, raw in out.items()}
+    return {key: raw for key, raw in out.items() if raw}
+
+
+def test_target_bound_products_equal_the_truncated_product():
+    # _product(x, y, Q) forms only the pairs that land within Q.  On seeded
+    # unit series at the work bound W = Q + M it equals (x * y).retruncate(Q)
+    # and the pair-by-pair oracle, every coefficient at bound Q; and, as the
+    # lemma in _headroom says, no pair of x-degree sum <= D shifts by less
+    # than -M, so the work bound never cuts a pair that lands within Q
+    diagrams = [builtin("theta"), builtin("unknot"), thetas(2), circles(2), circles(3)]
+    diagrams += [chain(k) for k in (1, 2, 3)]
+    rng = random.Random(6151)
+    shifts = set()
+    for d in diagrams:
+        ca = CycleAlgebra(d)
+        for x_degree, q_order in ((2, 4), (3, 8), (4, 12)):
+            margin, _ = moyeval.homfly._headroom(ca, x_degree)
+            work = q_order + margin
+            for _ in range(2):
+                x, y = (random_series(rng, ca, x_degree, work, 8, v_low=-4, unit=True) for _ in range(2))
+                for ea in x.terms:
+                    for eb in y.terms:
+                        if len(ea) + len(eb) <= x_degree:
+                            shift, _ = moyeval.qtorus._mul_exps(ca.signature, ea, eb)
+                            assert shift >= -margin, (ea, eb)
+                            shifts.add(shift)
+                target = moyeval.homfly._product(x, y, q_order)
+                assert target.q_order == q_order
+                assert all(coeff.q_order == q_order for coeff in target.terms.values())
+                assert target == (x * y).retruncate(q_order)
+                assert {key: c.terms for key, c in target.terms.items()} == pairwise_product(x, y, q_order)
+                assert {key: c.terms for key, c in (x * y).terms.items()} == pairwise_product(x, y, work)
+    assert min(shifts) < 0 < max(shifts)
+
+
+class CountingRows(list):
+    """Operand rows that count the scans opened over them."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_the_coefficient_kernel_scans_only_what_can_land():
+    # the sorted rows stop each scan at the room v1 leaves, and a term with
+    # no room for the lowest v2 opens no scan at all
+    rng = random.Random(3301)
+    for _ in range(300):
+        q_order = rng.randrange(0, 12)
+        bound, shift = rng.randrange(q_order - 6, q_order + 1), rng.randrange(-6, 7)
+
+        def rseries():
+            return TruncatedRSeries(q_order, {
+                (rng.randrange(-4, q_order + 1), rng.randrange(-2, 3)): rng.randrange(-3, 4)
+                for _ in range(rng.randrange(0, 6))})
+
+        a, b = rseries(), rseries()
+        _, _, rows = b._operand(bound)
+        counted = CountingRows(rows)
+        dest = {}
+        a._addmul(dest, (q_order, bound, counted), shift)
+        top = min(q_order, bound - shift)
+        expected = {}
+        for (v1, b1), c1 in a.terms.items():
+            for (v2, b2), c2 in b.terms.items():
+                if v1 + v2 <= top:
+                    term = (v1 + v2 + shift, b1 + b2)
+                    expected[term] = expected.get(term, 0) + c1 * c2
+        assert dest == expected
+        assert counted.scans == sum(1 for v1, _ in a.terms if rows and top - v1 >= rows[0][0])
 
 
 def test_series_invert_random_units():
@@ -456,16 +587,13 @@ def test_the_skew_grading_is_super_additive():
 
 
 def test_headroom_is_the_maximum_over_monomials():
-    three_circles = parse_diagram(json.dumps({"circles": [
-        {"id": i, "center": [4 * i, 0], "radius": 1, "orientation": "ccw"}
-        for i in range(3)]}))
     # with the cycle skew zeroed, lam vanishes and only the flag side counts
     flat = CycleAlgebra(parse_diagram(TWO_THETAS))
     k = len(flat.signature)
     flat.signature = TorusSignature(flat.signature.names, [[0] * k] * k)
     pinned = ((CycleAlgebra(builtin("theta")), 5, 24),
               (CycleAlgebra(parse_diagram(TWO_THETAS)), 3, 16),
-              (CycleAlgebra(three_circles), 4, 0), (CycleAlgebra(builtin("unknot")), 3, 0),
+              (CycleAlgebra(circles(3)), 4, 0), (CycleAlgebra(builtin("unknot")), 3, 0),
               (flat, 3, 4))
     for ca, x_degree, margin in pinned:
         r_max = max(ca.rots)

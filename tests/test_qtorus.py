@@ -154,6 +154,36 @@ def test_signature_validation():
         TorusSignature.from_entries(("a",), {(0, 0): 1})
 
 
+def first_asymmetry(skew):
+    """The first ``(i, j)`` in row-major order with ``c(i, j) != -c(j, i)``, entry by entry."""
+    n = len(skew)
+    for i in range(n):
+        for j in range(n):
+            if skew[i][j] != -skew[j][i]:
+                return i, j
+    return None
+
+
+def test_the_antisymmetry_check_names_the_first_bad_entry():
+    # the row-against-column check reports the entry the double loop finds first
+    rng = random.Random(2718)
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        names = [f"u_{i}" for i in range(n)]
+        entries = {(i, j): rng.randrange(-3, 4) for i in range(n) for j in range(i + 1, n)}
+        skew = [list(row) for row in TorusSignature.from_entries(names, entries).skew]
+        for _ in range(rng.randrange(0, 3)):
+            skew[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+        bad = first_asymmetry(skew)
+        if bad is None:
+            signature = TorusSignature(names, skew)
+            assert signature == signature == TorusSignature(names, skew)
+        else:
+            with pytest.raises(ValueError) as raised:
+                TorusSignature(names, skew)
+            assert str(raised.value) == f"skew matrix is not antisymmetric at {bad}"
+
+
 # -- elements and multiplication ----------------------------------------------
 
 
@@ -289,10 +319,10 @@ def test_a_pair_above_the_bound_is_dropped_before_its_shift():
     a, b = TruncatedRSeries.monomial(8, 5, 1), TruncatedRSeries.monomial(8, 3, 1)
     for shift, kept in ((-2, {(6, 2): 1}), (0, {(8, 2): 1}), (1, {})):
         dest = {}
-        a._addmul(dest, b, shift)
+        a._addmul(dest, b._operand(), shift)
         assert dest == kept, shift
     dest = {}
-    a._addmul(dest, TruncatedRSeries.monomial(8, 4, 0), -2)
+    a._addmul(dest, TruncatedRSeries.monomial(8, 4, 0)._operand(), -2)
     assert dest == {}
 
 
