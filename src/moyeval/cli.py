@@ -162,9 +162,10 @@ def parse_coloring_spec(d: PlanarDiagram, spec: str) -> Coloring:
         except ValueError:
             raise DiagramError(f"bad color value in {part!r}") from None
         kind = None
-        if key[:1] in ("e", "c") and key[1:].lstrip("-").isdigit():
+        # one optional minus sign, then decimal digits: what int() reads
+        if key[:1] in ("e", "c") and key[1:].removeprefix("-").isdecimal():
             kind, ident = key[0], int(key[1:])
-        elif key.lstrip("-").isdigit():
+        elif key.removeprefix("-").isdecimal():
             ident = int(key)
         else:
             raise DiagramError(f"bad coloring key {key!r}")
@@ -483,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--N", dest="n", type=_nonneg, default=2)
     p.add_argument("--max-x-degree", type=_nonneg, default=3)
-    p.add_argument("--q-order", type=_nonneg, default=12)
+    # the specialization window is q-order - 2*N*x*R: 12 would leave 0 at the defaults, 16 leaves 4
+    p.add_argument("--q-order", type=_nonneg, default=16, help="v-exponent truncation bound (homfly suite)")
     p.set_defaults(func=_cmd_check)
 
     return parser

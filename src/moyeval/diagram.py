@@ -72,6 +72,8 @@ def _as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise DiagramError(f"cannot parse coordinate {value!r}") from exc
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DiagramError(f"coordinate {value!r} is not a finite number")
         # Exact decimal reading: 1.5 means 3/2.
         return Fraction(repr(value))
     raise DiagramError(f"coordinate {value!r} is not a number")
@@ -536,22 +538,27 @@ def parse_diagram(text: str) -> PlanarDiagram:
     """Parse a diagram from its JSON description.
 
     Coordinates may be integers, decimal numbers (read exactly, so ``1.5``
-    means 3/2) or strings like ``"1/3"``.
+    means 3/2) or strings like ``"1/3"``; ``NaN`` and ``Infinity`` are
+    refused.  ``vertices``, ``edges`` and ``circles`` must be lists.
     """
     try:
-        data = json.loads(text, parse_float=Fraction)
+        data = json.loads(text, parse_float=Fraction, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise DiagramError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DiagramError("diagram JSON must be an object")
-    unknown = set(data) - {"vertices", "edges", "circles"}
+    fields = {name: data.get(name, []) for name in ("vertices", "edges", "circles")}
+    unknown = set(data) - set(fields)
     if unknown:
         raise DiagramError(f"unknown top-level keys: {sorted(unknown)}")
-    return PlanarDiagram(
-        vertices=data.get("vertices", ()),
-        edges=data.get("edges", ()),
-        circles=data.get("circles", ()),
-    )
+    for name, value in fields.items():
+        if not isinstance(value, list):
+            raise DiagramError(f"diagram field {name!r} must be a list")
+    return PlanarDiagram(**fields)
+
+
+def _refuse_constant(name: str):
+    raise DiagramError(f"invalid JSON: {name} is not a finite number")
 
 
 def _coord_json(fr: Fraction):

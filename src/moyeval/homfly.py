@@ -52,13 +52,15 @@ re-truncated at the target ``Q`` only at the end.  ``_headroom`` holds the
 argument; ``check_shift``, whose ``shift_a`` substitution also lowers
 v-exponents, gets its own headroom from the same argument.  The products
 the checks read only at ``Q`` are formed at ``Q`` by ``_product``: they
-keep a coefficient pair iff it lands within ``Q``, and the lemma at the
-end of ``_headroom`` shows that these are exactly the pairs the product at
-``Q + M`` keeps below ``Q``, so the checks compare the same numbers.
+keep a coefficient pair iff it lands within ``Q``, and the target-bound
+lemma of ``_headroom`` shows that these are exactly the pairs the
+product at ``Q + M`` keeps below ``Q``, so the checks compare the same
+numbers.
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import NamedTuple, Sequence
 
 from .cycles import CycleSet
@@ -258,32 +260,29 @@ def _headroom(ca: CycleAlgebra, x_degree: int) -> tuple[int, int]:
     ``e1 + e2 > W`` lands above ``Q``, and the rule is just
     ``e1 + e2 + shift <= Q``.
 
-    Both maxima come from one walk over the monomials as ascending index
-    lists, the order in which ``mu`` multiplies the images.  Appending index
-    ``t`` raises ``lam`` by ``sum_l alpha_l max(0, -c(t,l))`` and ``phi`` by
-    ``sum_l alpha_l P[l][t]``, with ``P`` the table of image shifts
-    ``CycleAlgebra.image_shifts`` that ``mu`` reads; both increments are
-    kept for every ``t`` in running vectors, so a step costs O(K).
+    Both maxima come from one pass over the ``C(K + D, D)`` keys of
+    x-degree at most ``D``, as ascending index lists, the order in which
+    ``mu`` multiplies the images.  A key's ``lam`` is the sum of
+    ``max(0, -c(t,l))`` and its ``phi`` the sum of ``P[l][t]`` over its
+    pairs of positions, ``l`` at the earlier one, with ``P`` the table of
+    image shifts ``CycleAlgebra.image_shifts`` that ``mu`` reads: O(D^2)
+    per key, the pair loop of ``CycleAlgebra._image``, and no running
+    vectors.
     """
-    k = len(ca.signature)
     skew = ca.signature.skew
-    # row l: what an x_l already in the monomial adds when x_t joins, per t
-    lam_rows = [[max(0, -skew[t][l]) for t in range(k)] for l in range(k)]
     phi_rows = ca.image_shifts
     r_max = max((abs(r) for r in ca.rots), default=0)
-    best = [0, 0]
-
-    def walk(first: int, size: int, lam: int, phi: int, lam_step: list, phi_step: list) -> None:
-        best[0] = max(best[0], lam + max(0, -phi))
-        best[1] = max(best[1], lam + 4 * r_max * size)
-        if size < x_degree:
-            for t in range(first, k):
-                walk(t, size + 1, lam + lam_step[t], phi + phi_step[t],
-                     [a + b for a, b in zip(lam_step, lam_rows[t])],
-                     [a + b for a, b in zip(phi_step, phi_rows[t])])
-
-    walk(0, 0, 0, 0, [0] * k, [0] * k)
-    return best[0], best[1] + 2 * r_max
+    series = shift = 0
+    for size in range(x_degree + 1):
+        for key in combinations_with_replacement(range(len(skew)), size):
+            lam = phi = 0
+            for n, t in enumerate(key):
+                for l in key[:n]:
+                    lam += max(0, -skew[t][l])
+                    phi += phi_rows[l][t]
+            series = max(series, lam + max(0, -phi))
+            shift = max(shift, lam + 4 * r_max * size)
+    return series, shift + 2 * r_max
 
 
 def _poch_inf(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int) -> TruncatedTorusSeries:

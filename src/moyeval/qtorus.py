@@ -47,9 +47,10 @@ of :mod:`moyeval.homfly` feed all their degree pairs into one
 accumulator.  ``_mul_linear`` multiplies by a linear factor
 ``1 + sum_t c_t x_t``, the factor of every twisted product, without
 building it: moving ``x_t`` past a key costs the skew of the key's
-entries above ``t``, and ``x_t`` lands in its sorted place.  It finds
-the nonzero ``c_t`` once per factor and visits only those variables, so
-a coefficient that truncation has emptied costs nothing per term.
+entries above ``t``, summed over those entries as in ``_mul_exps``, and
+``x_t`` lands in its sorted place.  It makes operands for the nonzero
+``c_t`` only, once per factor, so a coefficient that truncation has
+emptied costs nothing per term.
 Only the public constructor validates keys and filters; results built
 from clean terms over the same keys go through ``_like``.
 
@@ -100,9 +101,10 @@ a flag monomial, and internal colorings are not validated again.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate, groupby, islice
-from operator import add, sub
+from itertools import groupby, islice
+from operator import add
 from typing import Mapping, Sequence
 
 from .cycles import Cycle, CycleSet
@@ -297,20 +299,17 @@ def _mul_linear(x: TorusElement, coeffs: Sequence, max_degree: int | None = None
 
     Equal to ``torus_mul`` against that linear element, minus its terms
     above ``max_degree``.  Moving ``x_t`` left past the key ``ea`` costs
-    ``v**sigma_t``, with ``sigma_t`` the sum of ``c(i, t)`` over the
-    entries ``i > t`` of ``ea``; ``x_t`` then goes in between ``ea[:pos]``
-    (the entries ``<= t``) and ``ea[pos:]``.  The variables are visited in
-    ascending order, so ``pos`` only moves up, and ``sigma``, the sum of
-    the skew rows of ``ea[pos:]``, loses a row each time it does.  Terms of
-    x-degree ``max_degree`` meet only the 1.  The zero coefficients are
-    found once per factor: only the ``live`` variables are visited, and
-    ``first[s]`` counts the live ones below ``s``.
+    ``v**shift``, with ``shift`` the sum of ``c(i, t) = -c(t, i)`` over
+    the entries ``i`` of ``tail = ea[pos:]``, where
+    ``pos = bisect_right(ea, t)``; ``x_t`` then goes in between
+    ``ea[:pos]`` and ``tail``.  That is ``_mul_exps`` with ``(t,)`` on the
+    right, summed over the key's own entries.  Terms of x-degree
+    ``max_degree`` meet only the 1.  The operands are made once per
+    factor, for the nonzero coefficients only, so a coefficient that
+    truncation has emptied costs nothing per term.
     """
     skew = x.signature.skew
-    k = len(coeffs)
-    operands = [coeff._operand() if coeff else None for coeff in coeffs]
-    live = [t for t, op in enumerate(operands) if op is not None]
-    first = list(accumulate((op is not None for op in operands), initial=0))
+    operands = [(t, coeff._operand()) for t, coeff in enumerate(coeffs) if coeff]
     acc: dict[tuple[int, ...], dict] = {}
     for ea, ca in x.terms.items():
         dest = acc.get(ea)
@@ -323,22 +322,14 @@ def _mul_linear(x: TorusElement, coeffs: Sequence, max_degree: int | None = None
         if max_degree is not None and len(ea) >= max_degree:
             continue
         addmul = ca._addmul
-        sigma = (0,) * k
-        for i in ea:
-            sigma = tuple(map(add, sigma, skew[i]))
-        start = 0
-        for pos in range(len(ea) + 1):
-            stop = ea[pos] if pos < len(ea) else k
-            head, tail = ea[:pos], ea[pos:]
-            for t in live[first[start]:first[stop]]:
-                key = head + (t,) + tail
-                dest = acc.get(key)
-                if dest is None:
-                    dest = acc[key] = {}
-                addmul(dest, operands[t], sigma[t])
-            if pos < len(ea):
-                sigma = tuple(map(sub, sigma, skew[stop]))
-                start = stop
+        for t, operand in operands:
+            pos = bisect_right(ea, t)
+            tail = ea[pos:]
+            key = ea[:pos] + (t,) + tail
+            dest = acc.get(key)
+            if dest is None:
+                dest = acc[key] = {}
+            addmul(dest, operand, -sum(map(skew[t].__getitem__, tail)))
     return x._like(_settle(acc, x.terms))
 
 

@@ -95,6 +95,17 @@ def test_missing_and_malformed_diagram_files(capsys, tmp_path):
     bad.write_text("{nope")
     code, _, err = run(capsys, "eval", str(bad), "--N", "1")
     assert code == 2 and "invalid JSON" in err
+    # refused as malformed (exit 2, one error line), not raised as a traceback
+    for text, message in (
+        ('{"circles": [{"id": 0, "center": [NaN, 0], "radius": 1, "orientation": "cw"}]}',
+         "invalid JSON: NaN is not a finite number"),
+        ('{"circles": [{"id": 0, "center": [0, 0], "radius": -Infinity, "orientation": "cw"}]}',
+         "invalid JSON: -Infinity is not a finite number"),
+        ('{"vertices": 5}', "diagram field 'vertices' must be a list"),
+        ('{"edges": null}', "diagram field 'edges' must be a list"),
+    ):
+        bad.write_text(text)
+        assert run(capsys, "cycles", str(bad)) == (2, "", f"error: {message}\n")
 
 
 def test_diagram_file_equals_builtin(capsys, tmp_path):
@@ -125,12 +136,15 @@ def test_coloring_spec_errors(capsys):
         ("zzz", "bad coloring entry 'zzz'"),
         ("0=x", "bad color value"),
         ("q5=1", "bad coloring key"),
+        ("e--5=1", "bad coloring key 'e--5'"),
+        ("--0=1", "bad coloring key '--0'"),
+        ("e\u00b2=1", "bad coloring key 'e\u00b2'"),
         ("0=2,0=2", "id 0 colored twice"),
         ("9=1", "coloring mentions unknown id 9"),
         ("c1=1", "coloring mentions missing circle 1"),
     )
     for spec, message in cases:
-        code, _, err = run(capsys, "eval", "theta", "--N", "2", "--coloring", spec)
+        code, _, err = run(capsys, "eval", "theta", "--N", "2", f"--coloring={spec}")
         assert code == 2 and message in err
 
 

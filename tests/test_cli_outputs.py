@@ -2,8 +2,8 @@
 
 ``cli_outputs.json`` holds the exit code, stdout and stderr of every command
 in ``COMMANDS``: the table commands in text and JSON, the HOMFLY command
-with all its checks (passing, failing with exit 3, refused with exit 2) and
-every ``check`` suite.  Refactoring the CLI must leave all of it unchanged.
+with all its checks (passing, failing with exit 3, refused with exit 2),
+every ``check`` suite and a refused coloring key.  Refactoring the CLI must leave all of it unchanged.
 Rewrite the file only when an output change is intended, by running this
 module as a script: ``PYTHONPATH=src python tests/test_cli_outputs.py``.
 """
@@ -47,6 +47,7 @@ COMMANDS += [
     for suite in ("counts", "series", "homfly", "weights", "mu")
 ]
 COMMANDS += [("check", "theta", "--suite", "homfly", *SMALL_BOUNDS)]
+COMMANDS += [("eval", "theta", "--N", "2", "--coloring=e--5=1")]  # one minus sign at most: exit 2
 
 
 def run(argv) -> dict:

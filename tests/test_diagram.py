@@ -94,6 +94,9 @@ def test_bad_coordinates_rejected():
     for bad in (True, None):
         with pytest.raises(DiagramError, match=f"coordinate {bad} is not a number"):
             PlanarDiagram(circles=[{"id": 0, "center": [bad, 0], "radius": 1, "orientation": "cw"}])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DiagramError, match=f"coordinate {bad} is not a finite number"):
+            PlanarDiagram(circles=[{"id": 0, "center": [0, 0], "radius": bad, "orientation": "cw"}])
     with pytest.raises(DiagramError, match="must be a pair"):
         PlanarDiagram(circles=[{"id": 0, "center": [0, 0, 0], "radius": 1, "orientation": "cw"}])
 
@@ -629,3 +632,10 @@ def test_parse_rejects_bad_documents():
         parse_diagram("[1, 2]")
     with pytest.raises(DiagramError, match="unknown top-level keys"):
         parse_diagram('{"nodes": []}')
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(DiagramError, match=f"invalid JSON: {constant} is not a finite number"):
+            parse_diagram(f'{{"circles": [{{"id": 0, "center": [{constant}, 0], "radius": 1, "orientation": "cw"}}]}}')
+    for field in ("vertices", "edges", "circles"):
+        for bad in ("5", "null", "{}", '"ab"'):
+            with pytest.raises(DiagramError, match=f"diagram field '{field}' must be a list"):
+                parse_diagram(f'{{"{field}": {bad}}}')

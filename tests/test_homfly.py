@@ -594,7 +594,7 @@ def test_headroom_is_the_maximum_over_monomials():
     pinned = ((CycleAlgebra(builtin("theta")), 5, 24),
               (CycleAlgebra(parse_diagram(TWO_THETAS)), 3, 16),
               (CycleAlgebra(circles(3)), 4, 0), (CycleAlgebra(builtin("unknot")), 3, 0),
-              (flat, 3, 4))
+              (flat, 3, 4), (CycleAlgebra(thetas(3)), 3, 24))  # 26 variables
     for ca, x_degree, margin in pinned:
         r_max = max(ca.rots)
         # brute force: lam by its formula, phi from the flag monomials of the
