@@ -13,7 +13,7 @@ All arithmetic is exact over the integers, in the fourth-root variables
 ``v**4 == q`` and ``b**4 == a``.
 """
 
-from .cycles import Component, Cycle, CycleSet, all_cycles, elementary_circuits, pairing_doubled, rotation_of_loop
+from .cycles import Component, Cycle, CycleSet, elementary_circuits, pairing_doubled, rotation_of_loop
 from .diagram import (
     Circle,
     Coloring,
@@ -84,7 +84,6 @@ __all__ = [
     "Component",
     "Cycle",
     "CycleSet",
-    "all_cycles",
     "elementary_circuits",
     "pairing_doubled",
     "rotation_of_loop",

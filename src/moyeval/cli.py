@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (a negative bound included), 2
-malformed diagram or coloring, 3 a requested consistency check failed.
+malformed diagram or coloring (a diagram file that cannot be read
+included), 3 a requested consistency check failed.
 
 Diagram arguments accept either a path to a JSON file or the name of a
 built-in diagram (``unknot``, ``theta``, ``tetrahedron``).  Colorings are
@@ -140,9 +141,13 @@ def _load_diagram(spec: str) -> PlanarDiagram:
     if spec in builtin_names():
         return builtin(spec)
     path = Path(spec)
-    if not path.exists():
-        raise DiagramError(f"no such file or built-in diagram: {spec}")
-    return parse_diagram(path.read_text())
+    try:
+        if not path.exists():
+            raise DiagramError(f"no such file or built-in diagram: {spec}")
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DiagramError(f"cannot read diagram file {spec}: {exc}") from exc
+    return parse_diagram(text)
 
 
 def parse_coloring_spec(d: PlanarDiagram, spec: str) -> Coloring:
@@ -161,14 +166,15 @@ def parse_coloring_spec(d: PlanarDiagram, spec: str) -> Coloring:
             value = int(value_text.strip())
         except ValueError:
             raise DiagramError(f"bad color value in {part!r}") from None
-        kind = None
-        # one optional minus sign, then decimal digits: what int() reads
-        if key[:1] in ("e", "c") and key[1:].removeprefix("-").isdecimal():
-            kind, ident = key[0], int(key[1:])
-        elif key.removeprefix("-").isdecimal():
-            ident = int(key)
-        else:
-            raise DiagramError(f"bad coloring key {key!r}")
+        kind, digits = (key[0], key[1:]) if key[:1] in ("e", "c") else (None, key)
+        try:
+            # one optional minus sign, then decimal digits: what int() reads,
+            # up to its limit on the number of digits
+            if not digits.removeprefix("-").isdecimal():
+                raise ValueError
+            ident = int(digits)
+        except ValueError:
+            raise DiagramError(f"bad coloring key {key!r}") from None
         if kind == "e":
             target = edges
             if ident not in d.edge_by_id:

@@ -49,7 +49,6 @@ __all__ = [
     "CycleSet",
     "rotation_of_loop",
     "elementary_circuits",
-    "all_cycles",
     "pairing_doubled",
 ]
 
@@ -175,14 +174,13 @@ def elementary_circuits(d: PlanarDiagram) -> list[Component]:
     return circuits
 
 
-def all_cycles(d: PlanarDiagram) -> list[Cycle]:
-    """Every union of pairwise vertex-disjoint circuits, in canonical order.
+def _unions(circuits: Sequence[Component]) -> tuple[Cycle, ...]:
+    """Every union of pairwise vertex-disjoint ``circuits``, in canonical order.
 
     The canonical order sorts by total number of edges and circles, then by
     the sorted edge ids, then by the sorted circle ids; the empty cycle
     always comes first.
     """
-    circuits = elementary_circuits(d)
     n = len(circuits)
     compatible = [
         [not (circuits[i].vertices & circuits[j].vertices) for j in range(n)] for i in range(n)
@@ -196,7 +194,7 @@ def all_cycles(d: PlanarDiagram) -> list[Cycle]:
             if all(compatible[i][j] for j in chosen):
                 stack.append((chosen + [i], i + 1))
     found.sort(key=Cycle.sort_key)
-    return found
+    return tuple(found)
 
 
 def pairing_doubled(c1: Cycle, c2: Cycle) -> int:
@@ -209,11 +207,17 @@ def pairing_doubled(c1: Cycle, c2: Cycle) -> int:
 
 
 class CycleSet:
-    """The cycles of a diagram in canonical order, with pairing data."""
+    """The cycles of a diagram in canonical order, with pairing data.
+
+    ``circuits`` holds the diagram's circuits, enumerated once and sorted by
+    ``Component.sort_key``.  The cycles are built from them, and the pairing
+    rows and ``is_positive`` read them instead of the cycles' components.
+    """
 
     def __init__(self, d: PlanarDiagram):
         self.diagram = d
-        self.cycles = tuple(all_cycles(d))
+        self.circuits = tuple(elementary_circuits(d))
+        self.cycles = _unions(self.circuits)
 
     def pairing_rows(self) -> Iterator[list[int]]:
         """The rows of the doubled pairing matrix in cycle order, each built
@@ -225,12 +229,9 @@ class CycleSet:
         the module docstring), so a row costs one addition per entry and
         circuit.
         """
-        index: dict[Component, int] = {}
-        for cycle in self.cycles:
-            for comp in cycle.components:
-                index.setdefault(comp, len(index))
-        circuits = [Cycle((comp,)) for comp in index]
+        index = {comp: i for i, comp in enumerate(self.circuits)}
         members = [[index[comp] for comp in cycle.components] for cycle in self.cycles]
+        circuits = [Cycle((comp,)) for comp in self.circuits]
         table = [[pairing_doubled(a, b) for b in circuits] for a in circuits]
         circuit_rows = [[sum(map(entries.__getitem__, held)) for held in members] for entries in table]
         zeros = [0] * len(self.cycles)
@@ -246,12 +247,7 @@ class CycleSet:
     def __iter__(self):
         return iter(self.cycles)
 
-    def __getitem__(self, i: int) -> Cycle:
-        return self.cycles[i]
-
     @property
     def is_positive(self) -> bool:
         """True when every circuit of the diagram has rotation +1."""
-        return all(
-            comp.rot == 1 for cycle in self.cycles for comp in cycle.components
-        )
+        return all(comp.rot == 1 for comp in self.circuits)

@@ -303,7 +303,7 @@ class PlanarDiagram:
         self.vertex_by_id = {v.id: v for v in self.vertices}
         self.edge_by_id = {e.id: e for e in self.edges}
         self.circle_by_id = {c.id: c for c in self.circles}
-        self._flag_to_edge: dict[Flag, tuple[int, str]] = {}
+        self._flag_to_edge: dict[Flag, int] = {}
         self._validate()
         self.edge_slot = {e.id: i for i, e in enumerate(self.edges)}
         self.circle_slot = {c.id: len(self.edges) + i for i, c in enumerate(self.circles)}
@@ -345,10 +345,9 @@ class PlanarDiagram:
 
     # -- lookups -------------------------------------------------------------
 
-    def edge_at(self, flag: Flag) -> tuple[Edge, bool]:
-        """The unique edge attached at ``flag`` and whether it starts there."""
-        edge_id, end = self._flag_to_edge[Flag(*flag)]
-        return self.edge_by_id[edge_id], end == "tail"
+    def edge_at(self, flag: Flag) -> Edge:
+        """The unique edge attached at ``flag``."""
+        return self.edge_by_id[self._flag_to_edge[Flag(*flag)]]
 
     def edge_points(self, edge: Edge) -> tuple[Point, ...]:
         """Full polyline of an edge: tail position, waypoints, head position."""
@@ -410,13 +409,13 @@ class PlanarDiagram:
 
     def _check_flag_usage(self) -> None:
         for e in self.edges:
-            for flag, end in ((e.tail, "tail"), (e.head, "head")):
+            for flag in (e.tail, e.head):
                 if flag in self._flag_to_edge:
-                    other = self._flag_to_edge[flag][0]
+                    other = self._flag_to_edge[flag]
                     raise DiagramError(
                         f"flag ({flag.vertex}, {flag.role!r}) used by edges {other} and {e.id}"
                     )
-                self._flag_to_edge[flag] = (e.id, end)
+                self._flag_to_edge[flag] = e.id
         for v in self.vertices:
             for role in ROLES:
                 if Flag(v.id, role) not in self._flag_to_edge:
@@ -523,8 +522,7 @@ def validate_coloring(d: PlanarDiagram, coloring: Coloring) -> list[FlowViolatio
     for v in d.vertices:
         values = {}
         for role in ROLES:
-            edge, _ = d.edge_at(Flag(v.id, role))
-            values[role] = colors.get(edge.id, 0)
+            values[role] = colors.get(d.edge_at(Flag(v.id, role)).id, 0)
         if values["l"] + values["r"] != values["m"]:
             violations.append(FlowViolation(v.id, values["l"] + values["r"], values["m"]))
     return violations
@@ -539,11 +537,15 @@ def parse_diagram(text: str) -> PlanarDiagram:
 
     Coordinates may be integers, decimal numbers (read exactly, so ``1.5``
     means 3/2) or strings like ``"1/3"``; ``NaN`` and ``Infinity`` are
-    refused.  ``vertices``, ``edges`` and ``circles`` must be lists.
+    refused.  ``vertices``, ``edges`` and ``circles`` must be lists.  A
+    document nested too deep, or a number with more digits than Python
+    converts, is refused as invalid JSON.
     """
     try:
         data = json.loads(text, parse_float=Fraction, parse_constant=_refuse_constant)
-    except json.JSONDecodeError as exc:
+    except DiagramError:
+        raise
+    except (ValueError, RecursionError) as exc:  # ValueError includes json.JSONDecodeError
         raise DiagramError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DiagramError("diagram JSON must be an object")

@@ -110,10 +110,6 @@ class TruncatedTorusSeries(_Terms):
         self.element = element._like(kept)
 
     @classmethod
-    def zero(cls, ca: CycleAlgebra, x_degree: int, q_order: int) -> "TruncatedTorusSeries":
-        return cls(x_degree, q_order, TorusElement.zero(ca.signature))
-
-    @classmethod
     def one(cls, ca: CycleAlgebra, x_degree: int, q_order: int) -> "TruncatedTorusSeries":
         return cls(x_degree, q_order, TorusElement(ca.signature, {(): TruncatedRSeries.one(q_order)}))
 

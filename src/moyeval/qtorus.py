@@ -214,15 +214,6 @@ class TorusElement(_Terms):
             if coeff:
                 self.terms[key] = coeff
 
-    @classmethod
-    def zero(cls, signature: TorusSignature) -> "TorusElement":
-        return cls(signature)
-
-    @classmethod
-    def monomial(cls, signature: TorusSignature, exps: Sequence[int], coeff) -> "TorusElement":
-        """``coeff`` times the monomial with exponent vector ``exps``."""
-        return cls(signature, {signature.key(exps): coeff})
-
     def _check(self, other: "TorusElement") -> None:
         if self.signature != other.signature:
             raise ValueError("cannot combine elements over different signatures")
@@ -385,9 +376,9 @@ class CycleAlgebra:
         self.rots = tuple(cycle.rot for cycle in self.variables)
         self.flag_algebra = FlagAlgebra(d)
 
-    def variable(self, index: int, coeff=None) -> TorusElement:
+    def variable(self, index: int) -> TorusElement:
         """The monomial for variable ``index`` (0-based over nonempty cycles)."""
-        return TorusElement(self.signature, {(index,): coeff if coeff is not None else QLaurent.one()})
+        return TorusElement(self.signature, {(index,): QLaurent.one()})
 
     @cached_property
     def image_shifts(self) -> tuple[tuple[int, ...], ...]:

@@ -65,7 +65,7 @@ def _programme(
     """
 
     def at(vertex: int, role: str) -> int:
-        return d.edge_slot[d.edge_at(Flag(vertex, role))[0].id]
+        return d.edge_slot[d.edge_at(Flag(vertex, role)).id]
 
     moves = [
         (

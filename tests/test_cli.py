@@ -106,6 +106,19 @@ def test_missing_and_malformed_diagram_files(capsys, tmp_path):
     ):
         bad.write_text(text)
         assert run(capsys, "cycles", str(bad)) == (2, "", f"error: {message}\n")
+    # too deep or too long for the decoder, not UTF-8, a directory, a name
+    # too long for the file system (a permission-denied case needs a user
+    # that file modes bind, so it is not tested here)
+    deep, digits, binary = tmp_path / "deep.json", tmp_path / "digits.json", tmp_path / "binary.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    digits.write_text('{"vertices": [' + "1" * 5000 + "]}")
+    binary.write_bytes(b'{"circles": []}\xff')
+    for path, message in ((deep, "invalid JSON: "), (digits, "invalid JSON: "),
+                          (binary, f"cannot read diagram file {binary}: "),
+                          (tmp_path, f"cannot read diagram file {tmp_path}: "),
+                          (tmp_path / ("a" * 5000), "cannot read diagram file ")):
+        code, out, err = run(capsys, "cycles", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_diagram_file_equals_builtin(capsys, tmp_path):
@@ -139,8 +152,11 @@ def test_coloring_spec_errors(capsys):
         ("e--5=1", "bad coloring key 'e--5'"),
         ("--0=1", "bad coloring key '--0'"),
         ("e\u00b2=1", "bad coloring key 'e\u00b2'"),
+        ("1" * 5000 + "=1", "bad coloring key '1111"),  # more digits than int() converts
+        ("e" + "1" * 5000 + "=1", "bad coloring key 'e1111"),
         ("0=2,0=2", "id 0 colored twice"),
         ("9=1", "coloring mentions unknown id 9"),
+        ("e9=1", "coloring mentions missing edge 9"),
         ("c1=1", "coloring mentions missing circle 1"),
     )
     for spec, message in cases:

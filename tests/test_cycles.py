@@ -9,7 +9,6 @@ from moyeval.cycles import (
     Component,
     Cycle,
     CycleSet,
-    all_cycles,
     elementary_circuits,
     pairing_doubled,
     rotation_of_loop,
@@ -67,8 +66,8 @@ def test_rotation_of_loop():
 def test_unknot_cycles():
     cs = CycleSet(builtin("unknot"))
     assert len(cs) == 2
-    assert cs[0].is_empty and cs[0].rot == 0
-    assert cs[1].circle_ids == frozenset({0}) and cs[1].rot == 1
+    assert cs.cycles[0].is_empty and cs.cycles[0].rot == 0
+    assert cs.cycles[1].circle_ids == frozenset({0}) and cs.cycles[1].rot == 1
     assert list(cs.pairing_rows()) == [[0, 0], [0, 0]]
     assert cs.is_positive
 
@@ -80,7 +79,7 @@ def test_theta_cycles():
     assert list(cs.pairing_rows()) == [[0, 0, 0], [0, 0, 2], [0, -2, 0]]
     assert cs.is_positive
     # traversal starts at the smallest vertex and follows edge directions
-    assert cs[1].components[0].edge_ids == (1, 0)
+    assert cs.cycles[1].components[0].edge_ids == (1, 0)
 
 
 def test_tetrahedron_circuits():
@@ -161,7 +160,7 @@ def test_circuit_built_pairing_is_the_direct_pairing(name):
 
 def test_pairing_is_antisymmetric():
     for name in ("theta", "tetrahedron"):
-        cycles = all_cycles(builtin(name))
+        cycles = CycleSet(builtin(name)).cycles
         for c1 in cycles:
             for c2 in cycles:
                 assert pairing_doubled(c1, c2) == -pairing_doubled(c2, c1)
@@ -169,13 +168,19 @@ def test_pairing_is_antisymmetric():
 
 
 def test_cycles_are_vertex_disjoint_unions():
+    # built from the circuits the set keeps: each one once, as a singleton
     for name in ("unknot", "theta", "tetrahedron"):
-        for cycle in all_cycles(builtin(name)):
+        cs = CycleSet(builtin(name))
+        assert cs.circuits == tuple(elementary_circuits(builtin(name)))
+        for cycle in cs.cycles:
             seen = set()
             for comp in cycle.components:
+                assert comp in cs.circuits
                 assert not (comp.vertices & seen)
                 seen |= comp.vertices
             assert cycle.rot == sum(comp.rot for comp in cycle.components)
+        singletons = [c.components[0] for c in cs.cycles if len(c.components) == 1]
+        assert sorted(singletons, key=Component.sort_key) == list(cs.circuits)
 
 
 def test_canonical_order_lists_each_cycle_once():
@@ -183,14 +188,13 @@ def test_canonical_order_lists_each_cycle_once():
         cs = CycleSet(d)
         keys = [c.sort_key() for c in cs]
         assert keys == sorted(keys)
-        assert cs[0].is_empty
+        assert cs.cycles[0].is_empty
         for i, c in enumerate(cs):
             assert cs.cycles.index(c) == i
-            assert cs[i] is c
 
 
 def test_cycle_identity_ignores_traversal():
-    cycles = all_cycles(builtin("theta"))
+    cycles = CycleSet(builtin("theta")).cycles
     by_edges = {tuple(sorted(c.edge_ids)): c for c in cycles}
     a, b = by_edges[(0, 1)], by_edges[(0, 2)]
     assert a != b and a == a

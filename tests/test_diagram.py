@@ -65,10 +65,9 @@ def test_lookups():
     d = builtin("theta")
     assert d.vertex_by_id[0].kind == "split"
     assert d.edge_by_id[2].waypoints == ((Fraction(1), Fraction(0)),)
-    edge, starts_here = d.edge_at(Flag(0, "l"))
-    assert edge.id == 1 and starts_here
-    edge, starts_here = d.edge_at(Flag(1, "l"))
-    assert edge.id == 1 and not starts_here
+    edge = d.edge_at(Flag(0, "l"))
+    assert edge.id == 1 and edge.tail == Flag(0, "l")
+    assert d.edge_at(Flag(1, "l")) is edge and edge.head == Flag(1, "l")
 
 
 def test_edge_points_includes_endpoints():
@@ -633,9 +632,15 @@ def test_parse_rejects_bad_documents():
     with pytest.raises(DiagramError, match="unknown top-level keys"):
         parse_diagram('{"nodes": []}')
     for constant in ("NaN", "Infinity", "-Infinity"):
-        with pytest.raises(DiagramError, match=f"invalid JSON: {constant} is not a finite number"):
+        with pytest.raises(DiagramError, match=f"^invalid JSON: {constant} is not a finite number$"):
             parse_diagram(f'{{"circles": [{{"id": 0, "center": [{constant}, 0], "radius": 1, "orientation": "cw"}}]}}')
     for field in ("vertices", "edges", "circles"):
         for bad in ("5", "null", "{}", '"ab"'):
             with pytest.raises(DiagramError, match=f"diagram field '{field}' must be a list"):
                 parse_diagram(f'{{"{field}": {bad}}}')
+    # nested deeper than the decoder recurses, or a number with more digits
+    # than int() converts
+    for text in ("[" * 5000 + "]" * 5000, '{"vertices": [' + "1" * 5000 + "]}",
+                 '{"circles": [{"radius": 1.' + "1" * 5000 + "}]}"):
+        with pytest.raises(DiagramError, match="^invalid JSON: "):
+            parse_diagram(text)
