@@ -61,6 +61,22 @@ class Flag(NamedTuple):
     role: str
 
 
+# Python's default limit on the digits of an integer literal, which integer
+# coordinates already meet; a decimal exponent beyond it is refused, since
+# ``Fraction`` reads ``1e1000000`` by building 10**1000000.
+_MAX_EXPONENT = 4300
+
+
+def _decimal(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent larger than
+    ``_MAX_EXPONENT`` in magnitude before any digit of its power is built."""
+    _, e, exponent = text.strip().lower().rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT):
+        raise DiagramError(f"coordinate {text!r} has a decimal exponent beyond {_MAX_EXPONENT} in magnitude")
+    return Fraction(text)
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, bool):
         raise DiagramError(f"coordinate {value!r} is not a number")
@@ -68,7 +84,9 @@ def _as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _decimal(value)
+        except DiagramError:
+            raise
         except (ValueError, ZeroDivisionError) as exc:
             raise DiagramError(f"cannot parse coordinate {value!r}") from exc
     if isinstance(value, float):
@@ -539,10 +557,11 @@ def parse_diagram(text: str) -> PlanarDiagram:
     means 3/2) or strings like ``"1/3"``; ``NaN`` and ``Infinity`` are
     refused.  ``vertices``, ``edges`` and ``circles`` must be lists.  A
     document nested too deep, or a number with more digits than Python
-    converts, is refused as invalid JSON.
+    converts, is refused as invalid JSON, and a decimal exponent beyond
+    4,300 in magnitude (the same limit) as a malformed coordinate.
     """
     try:
-        data = json.loads(text, parse_float=Fraction, parse_constant=_refuse_constant)
+        data = json.loads(text, parse_float=_decimal, parse_constant=_refuse_constant)
     except DiagramError:
         raise
     except (ValueError, RecursionError) as exc:  # ValueError includes json.JSONDecodeError

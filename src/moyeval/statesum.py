@@ -22,17 +22,41 @@ by ``2 s rot(C)``, plus the current color of the ``l`` edge at each vertex
 where ``C`` holds ``r`` (new ``R`` pairs), minus the current color of the
 ``r`` edge at each vertex where ``C`` holds ``l`` (new ``L`` pairs).
 ``moy_eval`` drops partial colorings that already exceed its target.
-``eval_table_alt`` is the reference: it lists all (cycles)**N states and
-uses the equivalent vertex exponent ``|left| * |right| - 2L``, equal
-because no label can sit on both flags of one vertex.
+
+Both run that programme once per connected component of the diagram (a
+free circle is a component of its own) and multiply the parts.  The
+evaluation of a split diagram is the product of its components'
+evaluations, state by state:
+
+* a cycle of a split diagram is a union of vertex-disjoint circuits, each
+  lying in one component, so it is exactly a tuple of component cycles,
+  one per component (empty ones included), and a state is one state per
+  component;
+* ``rot`` adds over the circuits of a cycle, so the label term
+  ``2 * sum s * rot`` is the sum of the components' label terms;
+* each vertex term is read at one vertex, from the labels of the cycles
+  holding its flags, all of which lie in that vertex's component;
+* the colorings of different components sit on disjoint slots, so a
+  coloring is a tuple of component colorings, and the colors of one slot
+  count the labels of one component only.
+
+So a coloring's exponent counts are the convolution of its components'
+counts.  ``eval_table`` joins the components' slot vectors and convolves
+their counts; ``moy_eval`` restricts its target to each component's slots
+and multiplies the parts, stopping at the first part no state reaches.
+``eval_table_alt`` is the reference: it lists all (cycles)**N states of the
+whole diagram and uses the equivalent vertex exponent
+``|left| * |right| - 2L``, equal because no label can sit on both flags of
+one vertex.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from typing import Iterator, Sequence
 
-from .cycles import CycleSet
+from .cycles import Cycle, CycleSet, _unions
 from .diagram import Coloring, DiagramError, Flag, PlanarDiagram, validate_coloring
 from .qexact import QLaurent
 
@@ -51,32 +75,67 @@ def doubled_labels(n: int) -> list[int]:
     return [2 * i - (n - 1) for i in range(n)]
 
 
+def _parts(d: PlanarDiagram, cycle_set: CycleSet | None) -> Iterator[tuple[list[int], tuple[Cycle, ...]]]:
+    """The connected components of ``d``, each as its slots in slot order
+    and its cycles.
+
+    Vertices joined by an edge share a component (union-find), and each
+    free circle is a component alone.  A component owns the slots of its
+    edges and circles, and its cycles are the unions of its circuits.
+    """
+    root = {v.id: v.id for v in d.vertices}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for e in d.edges:
+        root[find(e.tail.vertex)] = find(e.head.vertex)
+    groups: dict[tuple, tuple[list[int], list]] = {}
+    for e in d.edges:
+        groups.setdefault(("vertex", find(e.tail.vertex)), ([], []))[0].append(d.edge_slot[e.id])
+    for c in d.circles:
+        groups[("circle", c.id)] = ([d.circle_slot[c.id]], [])
+    for circuit in (cycle_set or CycleSet(d)).circuits:
+        if circuit.circle_id is None:
+            key = ("vertex", find(d.edge_by_id[circuit.edge_ids[0]].tail.vertex))
+        else:
+            key = ("circle", circuit.circle_id)
+        groups[key][1].append(circuit)
+    for slots, circuits in groups.values():
+        yield slots, _unions(circuits)
+
+
 def _programme(
     d: PlanarDiagram,
-    cycle_set: CycleSet | None,
+    cycles: Sequence[Cycle],
+    slots: Sequence[int],
     n: int,
-    cap: list[int] | None = None,
+    cap: Sequence[int] | None = None,
 ) -> dict[tuple[int, ...], dict[int, int]]:
-    """Exponent counts of the colorings realized at level ``n``, keyed by
-    their slot vectors in the diagram's layout (see ``PlanarDiagram``).
+    """Exponent counts of the colorings that states over ``cycles`` realize
+    at level ``n``, keyed by their colors on ``slots`` (diagram slots, see
+    ``PlanarDiagram``), which must hold every edge and circle of the cycles.
 
-    With a ``cap`` slot vector, only colorings that exceed it in no slot
-    are kept.
+    With a ``cap`` of colors on ``slots``, only colorings that exceed it in
+    no slot are kept.
     """
+    index = {slot: i for i, slot in enumerate(slots)}
 
     def at(vertex: int, role: str) -> int:
-        return d.edge_slot[d.edge_at(Flag(vertex, role)).id]
+        return index[d.edge_slot[d.edge_at(Flag(vertex, role)).id]]
 
     moves = [
         (
             cycle.rot,
-            d.slots(cycle.edge_ids, cycle.circle_ids),
+            [index[slot] for slot in d.slots(cycle.edge_ids, cycle.circle_ids)],
             [at(v, "l") for v in cycle.right_at],
             [at(v, "r") for v in cycle.left_at],
         )
-        for cycle in cycle_set or CycleSet(d)
+        for cycle in cycles
     ]
-    layer = {(0,) * d.slot_count: {0: 1}}
+    layer = {(0,) * len(slots): {0: 1}}
     for s in doubled_labels(n):
         grown: dict[tuple[int, ...], dict[int, int]] = {}
         for coloring, counts in layer.items():
@@ -94,14 +153,41 @@ def _programme(
     return layer
 
 
+def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The exponent counts of the products of a state counted in ``a`` and one in ``b``."""
+    out: dict[int, int] = {}
+    get = out.get
+    terms = b.items()
+    for e1, c1 in a.items():
+        for e2, c2 in terms:
+            key = e1 + e2
+            out[key] = get(key, 0) + c1 * c2
+    return out
+
+
 def eval_table(
     d: PlanarDiagram,
     n: int,
     *,
     cycle_set: CycleSet | None = None,
 ) -> dict[Coloring, QLaurent]:
-    """Evaluations of all colorings realized at level ``n``, by state sum."""
-    return {d.coloring_of(key): QLaurent(counts) for key, counts in _programme(d, cycle_set, n).items()}
+    """Evaluations of all colorings realized at level ``n``, by state sum,
+    one programme per connected component.
+
+    A row's key joins its components' colors in component order; ``where``
+    reads them back in slot order.
+    """
+    rows: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    order: list[int] = []
+    for slots, cycles in _parts(d, cycle_set):
+        layer = _programme(d, cycles, slots, n)
+        if order:
+            rows = {key + tail: _convolve(counts, more) for key, counts in rows.items() for tail, more in layer.items()}
+        else:
+            rows = layer
+        order += slots
+    where = sorted(range(len(order)), key=order.__getitem__)
+    return {d.coloring_of([key[i] for i in where]): QLaurent(counts) for key, counts in rows.items()}
 
 
 def _require_flow(d: PlanarDiagram, coloring: Coloring) -> None:
@@ -132,7 +218,14 @@ def moy_eval(
         cap[d.edge_slot[e]] = k
     for c, k in coloring.circles:
         cap[d.circle_slot[c]] = k
-    return QLaurent(_programme(d, cycle_set, n, cap).get(tuple(cap), {}))
+    counts = {0: 1}
+    for slots, cycles in _parts(d, cycle_set):
+        target = tuple([cap[slot] for slot in slots])
+        part = _programme(d, cycles, slots, n, target).get(target)
+        if part is None:
+            return QLaurent.zero()
+        counts = _convolve(counts, part)
+    return QLaurent(counts)
 
 
 def eval_table_alt(

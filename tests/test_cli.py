@@ -9,7 +9,7 @@ import pytest
 import moyeval.cli
 from moyeval.cli import _emit_json, _power, format_qlaurent, main, parse_coloring_spec
 from moyeval.cycles import CycleSet, pairing_doubled
-from moyeval.diagram import Coloring, builtin, builtin_names, format_coloring, serialize_diagram
+from moyeval.diagram import Coloring, builtin, builtin_names, format_coloring, parse_diagram, serialize_diagram
 from moyeval.qexact import QLaurent
 from moyeval.statesum import eval_table
 from test_cycles import thetas
@@ -119,6 +119,23 @@ def test_missing_and_malformed_diagram_files(capsys, tmp_path):
                           (tmp_path / ("a" * 5000), "cannot read diagram file ")):
         code, out, err = run(capsys, "cycles", str(path))
         assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_huge_decimal_exponents_are_refused(capsys, tmp_path):
+    # Fraction would build 10**exponent exactly; past Python's 4,300-digit
+    # limit on integer literals the coordinate is refused instead
+    path = tmp_path / "circle.json"
+    template = '{"circles": [{"id": 0, "center": [0, 0], "radius": %s, "orientation": "ccw"}]}'
+    for literal, shown in (("1e1000000", "'1e1000000'"), ("1e-1000000", "'1e-1000000'"),
+                           ('"1e1000000"', "'1e1000000'"), ('"1E+4_301"', "'1E+4_301'")):
+        path.write_text(template % literal)
+        message = f"error: coordinate {shown} has a decimal exponent beyond 4300 in magnitude\n"
+        assert run(capsys, "cycles", str(path)) == (2, "", message)
+    for literal, radius in (("1e300", Fraction(10**300)), ('"1e-4300"', Fraction(1, 10**4300))):
+        path.write_text(template % literal)
+        assert parse_diagram(path.read_text()).circle_by_id[0].radius == radius
+        code, out, err = run(capsys, "cycles", str(path))
+        assert (code, err) == (0, "") and "circles 0" in out
 
 
 def test_diagram_file_equals_builtin(capsys, tmp_path):

@@ -1,9 +1,16 @@
-"""Exact CLI output on the built-in diagrams, pinned byte for byte.
+"""Exact CLI output on the built-in diagrams and one split diagram, pinned
+byte for byte.
 
 ``cli_outputs.json`` holds the exit code, stdout and stderr of every command
 in ``COMMANDS``: the table commands in text and JSON, the HOMFLY command
 with all its checks (passing, failing with exit 3, refused with exit 2),
-every ``check`` suite and a refused coloring key.  Refactoring the CLI must leave all of it unchanged.
+every ``check`` suite and a refused coloring key.  The split diagram
+``two_thetas_and_circle.json`` (two thetas whose edge ids interleave, and a
+circle in a face of one of them) adds the table commands, one evaluation and
+the state-sum suites.  It is named by its file name in ``COMMANDS`` and in
+the recorded argv, and ``run`` resolves that name next to this module, so the
+pins hold from any working directory.  Refactoring the CLI must leave all of
+it unchanged.
 Rewrite the file only when an output change is intended, by running this
 module as a script: ``PYTHONPATH=src python tests/test_cli_outputs.py``.
 """
@@ -19,6 +26,7 @@ import pytest
 from moyeval.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_outputs.json")
+SPLIT = "two_thetas_and_circle.json"
 BUILTINS = ("unknot", "theta", "tetrahedron")
 HOMFLY_CHECKS = ("--check", "--check-shift", "--specialize", "2")
 SMALL_BOUNDS = ("--max-x-degree", "2", "--q-order", "16")
@@ -48,9 +56,18 @@ COMMANDS += [
 ]
 COMMANDS += [("check", "theta", "--suite", "homfly", *SMALL_BOUNDS)]
 COMMANDS += [("eval", "theta", "--N", "2", "--coloring=e--5=1")]  # one minus sign at most: exit 2
+COMMANDS += [
+    ("table", SPLIT, "--N", "2"),
+    ("table", SPLIT, "--N", "2", "--format", "json"),
+    ("series", SPLIT, "--N", "2", "--check"),
+    ("classical", SPLIT, "--N", "2", "--check"),
+    ("eval", SPLIT, "--N", "2", "--coloring=e0=2,e2=1,e4=1,e1=1,e3=1,c0=1"),
+]
+COMMANDS += [("check", SPLIT, "--suite", suite) for suite in ("weights", "counts", "series")]
 
 
 def run(argv) -> dict:
+    argv = [str(GOLDEN.with_name(arg)) if arg == SPLIT else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))

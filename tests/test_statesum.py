@@ -2,13 +2,16 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import moyeval.cycles
+import moyeval.statesum
 from moyeval.cycles import CycleSet, elementary_circuits
-from moyeval.diagram import Coloring, DiagramError, PlanarDiagram, builtin, parse_diagram
+from moyeval.diagram import Circle, Coloring, DiagramError, Edge, Flag, PlanarDiagram, Vertex, builtin, parse_diagram
 from moyeval.genseries import classical_series, generating_series_N
 from moyeval.homfly import homfly_series
 from moyeval.qexact import QLaurent, qbinom, qmultinom
@@ -44,6 +47,11 @@ TWO_THETAS = """{
             {"id": 4, "tail": [2, "l"], "head": [3, "l"]},
             {"id": 5, "tail": [2, "r"], "head": [3, "r"], "waypoints": [[11, 0]]}]
 }"""
+
+
+# two thetas whose vertex and edge ids interleave, and a circle in a face of
+# the first; tests/test_cli_outputs.py pins the CLI output on it
+SPLIT_FILE = Path(__file__).with_name("two_thetas_and_circle.json")
 
 
 # where a circle fits in the built-in theta: (center, radius), the radius
@@ -143,20 +151,103 @@ def _product_table(t1, t2):
     }
 
 
-def test_disjoint_unions_match_the_reference_and_multiply():
+def _moved(d, dx, dv, de):
+    """``d`` moved ``dx`` to the right, with ``dv`` added to its vertex ids
+    and ``de`` to its edge ids."""
+
+    def move(point):
+        return (point[0] + dx, point[1])
+
+    return PlanarDiagram(
+        [Vertex(v.id + dv, v.kind, move(v.position)) for v in d.vertices],
+        [Edge(e.id + de, Flag(e.tail.vertex + dv, e.tail.role), Flag(e.head.vertex + dv, e.head.role),
+              tuple(map(move, e.waypoints))) for e in d.edges],
+        [Circle(c.id, move(c.center), c.radius, c.orientation) for c in d.circles],
+    )
+
+
+def _union(*parts):
+    return PlanarDiagram(*([x for part in parts for x in getattr(part, field)]
+                           for field in ("vertices", "edges", "circles")))
+
+
+def _split_unions():
+    """Split diagrams with their connected parts and the top level to test."""
     theta_and_circle = parse_diagram(THETA_AND_CIRCLE)
     two_thetas = parse_diagram(TWO_THETAS)
-    cases = (
-        (theta_and_circle, 4, PlanarDiagram(theta_and_circle.vertices, theta_and_circle.edges),
-         PlanarDiagram(circles=theta_and_circle.circles)),
-        (two_thetas, 3, PlanarDiagram(two_thetas.vertices[:2], two_thetas.edges[:3]),
-         PlanarDiagram(two_thetas.vertices[2:], two_thetas.edges[3:])),
-    )
-    for union, top, left, right in cases:
+    cases = [
+        (theta_and_circle, 4, [PlanarDiagram(theta_and_circle.vertices, theta_and_circle.edges),
+                               PlanarDiagram(circles=theta_and_circle.circles)]),
+        (two_thetas, 3, [PlanarDiagram(two_thetas.vertices[:2], two_thetas.edges[:3]),
+                         PlanarDiagram(two_thetas.vertices[2:], two_thetas.edges[3:])]),
+    ]
+    # a theta with a circle nested in one of its faces, and a tetrahedron
+    tetrahedron = _moved(builtin("tetrahedron"), 10, 2, 3)
+    center, radius = CIRCLE_PLACES["inner face left of edge 1"]
+    for orientation in ("ccw", "cw"):
+        theta = theta_with_circles((center, radius, orientation))
+        cases.append((_union(theta, tetrahedron), 3,
+                      [builtin("theta"), tetrahedron, PlanarDiagram(circles=theta.circles)]))
+    # two thetas with interleaved vertex and edge ids, and a circle in a face
+    interleaved = parse_diagram(SPLIT_FILE.read_text())
+    cases.append((interleaved, 3, [PlanarDiagram(interleaved.vertices[0::2], interleaved.edges[0::2]),
+                                   PlanarDiagram(interleaved.vertices[1::2], interleaved.edges[1::2]),
+                                   PlanarDiagram(circles=interleaved.circles)]))
+    return cases
+
+
+def test_disjoint_unions_match_the_reference_and_multiply():
+    for union, top, parts in _split_unions():
         for n in range(top + 1):
             table = eval_table(union, n)
             assert table == eval_table_alt(union, n), n
-            assert table == _product_table(eval_table(left, n), eval_table(right, n)), n
+            assert table == reduce(_product_table, (eval_table(part, n) for part in parts)), n
+            if n <= 3:
+                assert table == generating_series_N(union, n), n
+
+
+def test_moy_eval_multiplies_its_parts():
+    n = 2
+    for union, _, parts in _split_unions():
+        cs = CycleSet(union)
+        table = eval_table(union, n, cycle_set=cs)
+        for coloring, value in table.items():
+            assert moy_eval(union, coloring, n, cycle_set=cs) == value
+        # the first part colored alone: every other part sits at the zero coloring
+        first = parts[0]
+        for coloring, value in eval_table(first, n).items():
+            assert moy_eval(union, coloring, n, cycle_set=cs) == value
+        # a conserved coloring of the first part with a color above n, which
+        # no state realizes, whatever the other parts hold
+        above = max(set(eval_table(first, n + 1)) - set(eval_table(first, n)), key=Coloring.sort_key)
+        top = max(table, key=Coloring.total)
+        coloring = Coloring(
+            edges={e: k for e, k in top.edges if e not in first.edge_by_id} | dict(above.edges),
+            circles={c: k for c, k in top.circles if c not in first.circle_by_id} | dict(above.circles),
+        )
+        assert moy_eval(union, coloring, n, cycle_set=cs) == QLaurent.zero()
+        assert moy_eval_alt(union, coloring, n, cycle_set=cs) == QLaurent.zero()
+
+
+def test_one_programme_per_component(monkeypatch):
+    from test_cycles import thetas  # test_cycles imports this module
+
+    sizes = []
+    original = moyeval.statesum._programme
+
+    def recording(d, cycles, *args):
+        sizes.append(len(cycles))
+        return original(d, cycles, *args)
+
+    monkeypatch.setattr(moyeval.statesum, "_programme", recording)
+    for d, expected in ((thetas(4), [3] * 4), (builtin("tetrahedron"), [len(CycleSet(builtin("tetrahedron")))])):
+        sizes.clear()
+        table = eval_table(d, 2)
+        assert sizes == expected
+        sizes.clear()
+        top = max(table, key=Coloring.total)
+        assert moy_eval(d, top, 2) == table[top]
+        assert sizes == expected
 
 
 def test_circles_in_faces_multiply_by_binomials():
