@@ -174,25 +174,47 @@ def elementary_circuits(d: PlanarDiagram) -> list[Component]:
     return circuits
 
 
-def _unions(circuits: Sequence[Component]) -> tuple[Cycle, ...]:
+def _join(cycle: Cycle, single: Cycle) -> Cycle:
+    """The union of ``cycle`` and the one-circuit cycle ``single``, whose
+    circuit shares no vertex with ``cycle`` and sorts after all of its own."""
+    out = object.__new__(Cycle)
+    out.components = cycle.components + single.components
+    out.edge_ids = cycle.edge_ids | single.edge_ids
+    out.circle_ids = cycle.circle_ids | single.circle_ids
+    out.halfedges = cycle.halfedges | single.halfedges
+    out.left_at = cycle.left_at | single.left_at
+    out.right_at = cycle.right_at | single.right_at
+    out.rot = cycle.rot + single.rot
+    return out
+
+
+def _unions(circuits: Iterable[Component]) -> tuple[Cycle, ...]:
     """Every union of pairwise vertex-disjoint ``circuits``, in canonical order.
 
     The canonical order sorts by total number of edges and circles, then by
     the sorted edge ids, then by the sorted circle ids; the empty cycle
     always comes first.
+
+    The circuits are sorted by ``Component.sort_key`` once, and a search
+    node adds circuit ``i`` to its union only after every circuit it holds,
+    so each union is its parent's joined with the one-circuit cycle of
+    ``i`` (``_join``), components still in order, and no constructor runs
+    per union.  Disjointness is read from a circuit-by-circuit table.
     """
+    circuits = sorted(circuits, key=Component.sort_key)
+    singles = [Cycle((comp,)) for comp in circuits]
     n = len(circuits)
     compatible = [
         [not (circuits[i].vertices & circuits[j].vertices) for j in range(n)] for i in range(n)
     ]
     found: list[Cycle] = []
-    stack = [([], 0)]  # (chosen circuits, first index that may join them)
+    stack = [(Cycle(), (), 0)]  # (union, indices of its circuits, first index that may join it)
     while stack:
-        chosen, start = stack.pop()
-        found.append(Cycle([circuits[i] for i in chosen]))
+        cycle, chosen, start = stack.pop()
+        found.append(cycle)
         for i in range(start, n):
-            if all(compatible[i][j] for j in chosen):
-                stack.append((chosen + [i], i + 1))
+            if all(map(compatible[i].__getitem__, chosen)):
+                stack.append((_join(cycle, singles[i]), chosen + (i,), i + 1))
     found.sort(key=Cycle.sort_key)
     return tuple(found)
 

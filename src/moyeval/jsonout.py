@@ -6,6 +6,13 @@ small string per number, and ``json.dumps`` joins them all at once.
 scalar with its key or separator, and reads iterators as lists, so a
 caller can write a document as it is made and print a matrix from a row
 generator without keeping it.
+
+A list is a row of plain ints when the set of its entries' types is
+``{int}``, so ``True`` (a ``bool``) and ``IntEnum`` members take the
+general path and print as ``json.dumps`` prints them.  A row is rendered
+by joining the text of its entries, looked up in a table that holds the
+``str`` of each distinct entry once; a pairing row holds a handful of
+distinct values, so no Python code runs per entry.
 """
 
 from __future__ import annotations
@@ -45,8 +52,10 @@ def json_chunks(value, pad: str = "") -> Iterator[str]:
     if isinstance(value, dict):
         items = ((encode_basestring_ascii(key) + ": ", item) for key, item in value.items())
         opening, closing = "{", "}"
-    elif type(value) is list and value and all(type(x) is int for x in value):
-        yield "[\n" + inner + (",\n" + inner).join(map(str, value)) + "\n" + pad + "]"
+    elif type(value) is list and set(map(type, value)) == {int}:
+        distinct = set(value)
+        text = dict(zip(distinct, map(str, distinct)))
+        yield "[\n" + inner + (",\n" + inner).join(map(text.__getitem__, value)) + "\n" + pad + "]"
         return
     elif isinstance(value, (list, tuple, Iterator)):
         items = (("", item) for item in value)

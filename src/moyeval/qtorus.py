@@ -83,7 +83,13 @@ quadratic form
 
 in the K x K table ``P[l][t]`` of normal-ordering shifts of ``f_l``
 against ``f_t`` (``CycleAlgebra.image_shifts``, built on first use from
-the nonzero lower entries of the flag skew).  On a key, ``phi`` is the
+the nonzero lower entries of the flag skew and an index of the images
+holding each flag: each entry ``c(i, j)`` of a flag ``i`` of ``f_l`` is
+added into row ``l`` at every image holding ``j``, so no pair of images
+is visited one by one).  The table reads the flag skew only, never the
+circuits' pairing, so ``check --suite mu``, which compares its
+antisymmetric part with the cycle skew, compares two independent
+computations.  On a key, ``phi`` is the
 sum of ``P[l][t]`` over its pairs of positions, ``l`` at the earlier
 one.  On a diagram the diagonal ``P[t][t]`` is 0, since a cycle holds at
 most one of ``l`` and ``r`` at each vertex, but the form holds for any
@@ -384,11 +390,15 @@ class CycleAlgebra:
     def image_shifts(self) -> tuple[tuple[int, ...], ...]:
         """``P[l][t]``, the flag-side shift of ``mu(x_l)`` against ``mu(x_t)``.
 
-        One normal ordering per pair of cycle images, shift only: it sums
-        the nonzero lower entries ``c(i, j)``, ``j < i``, of the flag skew
-        over the flags ``i`` of ``mu(x_l)`` and ``j`` of ``mu(x_t)``, and
-        never merges the two keys.  A cycle holds each flag once, so each
-        image key is read as a set of flags.  Built on first read and kept:
+        The normal-ordering shift of each pair of cycle images, shift only:
+        the sum of the nonzero lower entries ``c(i, j)``, ``j < i``, of the
+        flag skew over the flags ``i`` of ``mu(x_l)`` and ``j`` of
+        ``mu(x_t)``.  The table is built row by row from an index of the
+        images holding each flag (a cycle holds each flag once, so an image
+        holds it at most once): every entry ``c(i, j)`` of a flag ``i`` of
+        ``mu(x_l)`` is added into row ``l`` at each image holding ``j``.
+        It reads the flag skew and the images only, never the circuits or
+        their pairing.  Built on first read and kept:
         ``mu``, ``flow_table`` and ``_headroom`` all read it.
         ``check --suite mu`` compares ``P[i][j] - P[j][i]`` with the cycle
         skew, so it checks this table.
@@ -396,11 +406,18 @@ class CycleAlgebra:
         fa = self.flag_algebra
         lower = [[(j, c) for j, c in enumerate(row[:i]) if c] for i, row in enumerate(fa.signature.skew)]
         images = [fa.cycle_key(c) for c in self.variables]
-        flag_sets = [frozenset(b) for b in images]
+        holders: list[list[int]] = [[] for _ in lower]
+        for t, image in enumerate(images):
+            for j in image:
+                holders[j].append(t)
         table = []
-        for a in images:
-            entries = [entry for i in a for entry in lower[i]]
-            table.append(tuple(sum(c for j, c in entries if j in b) for b in flag_sets))
+        for image in images:
+            row = [0] * len(images)
+            for i in image:
+                for j, c in lower[i]:
+                    for t in holders[j]:
+                        row[t] += c
+            table.append(tuple(row))
         return tuple(table)
 
     def _image(self, element: TorusElement, supports: Sequence[tuple[int, ...]]) -> dict:

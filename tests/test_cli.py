@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, error reporting."""
 
+import enum
 import gc
 import json
 from fractions import Fraction
@@ -394,6 +395,45 @@ def test_json_writer_rejects_what_json_rejects(capsys):
     for data in ({1, 2}, [Fraction(1, 2)], {"a": object()}):
         with pytest.raises(TypeError):
             json.dumps(data)
+        with pytest.raises(TypeError):
+            written(capsys, data)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+    __str__ = __repr__
+
+
+INTEGER_ROW_CASES = {
+    "true beside 1": [[1, True, 1], [True, 1], [1, 1, True], [False, 0, 0]],
+    "int subclasses": [[1, Level.LOW, Level.HIGH], [Level.HIGH], [Count(3), 3], [3, Count(-4)]],
+    "one entry": [[0], [-5], [2**64]],
+    "one repeated value": [[7] * 40, [-1] * 3, [[0] * 5] * 4],
+    "huge and very negative": [[10**4000, -(10**4000), 2**200 - 1], [-(2**63), 2**63, -1]],
+    "tuples": [(1, 2, 3), [(4,), (5, -6)], {"t": (0, 0)}],
+    "nested": [[[1, 2], [3, [4, 5]]], {"a": [[1], [2, 2]], "b": {"c": [3, -3]}}],
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_ROW_CASES)
+def test_json_writer_prints_integer_rows_as_json_does(capsys, name):
+    for data in INTEGER_ROW_CASES[name]:
+        assert written(capsys, data) == json.dumps(data, indent=2) + "\n"
+    assert written(capsys, INTEGER_ROW_CASES[name]) == json.dumps(INTEGER_ROW_CASES[name], indent=2) + "\n"
+    rows = [row for row in INTEGER_ROW_CASES[name] if isinstance(row, list)]
+    assert written(capsys, iter(rows)) == json.dumps(rows, indent=2) + "\n"
+    assert written(capsys, {"rows": (list(row) for row in rows)}) == json.dumps({"rows": rows}, indent=2) + "\n"
+
+
+def test_json_writer_rejects_a_set_beside_integer_rows(capsys):
+    for data in ([[1, 2], {3}], {"rows": [[1], [2, {3}]]}, iter([[0], {0}])):
         with pytest.raises(TypeError):
             written(capsys, data)
 

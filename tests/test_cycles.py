@@ -9,13 +9,14 @@ from moyeval.cycles import (
     Component,
     Cycle,
     CycleSet,
+    _unions,
     elementary_circuits,
     pairing_doubled,
     rotation_of_loop,
 )
-from moyeval.diagram import DiagramError, Flag, PlanarDiagram, builtin
+from moyeval.diagram import DiagramError, Flag, PlanarDiagram, builtin, parse_diagram
 from test_chain import chain
-from test_statesum import CIRCLE_PLACES, theta_with_circles
+from test_statesum import CIRCLE_PLACES, SPLIT_FILE, theta_with_circles
 
 TWO_CIRCLES = PlanarDiagram(
     circles=[
@@ -144,6 +145,8 @@ PAIRING_DIAGRAMS = {
     **{name: lambda name=name: builtin(name) for name in ("unknot", "theta", "tetrahedron")},
     "thetas2": lambda: thetas(2),
     "thetas3": lambda: thetas(3),
+    "thetas4": lambda: thetas(4),
+    "two thetas and a circle": lambda: parse_diagram(SPLIT_FILE.read_text()),
     **{f"chain{k}": lambda k=k: chain(k) for k in (1, 2, 3, 4)},
     "theta with a cw and a ccw circle": _theta_with_two_circles,
 }
@@ -156,6 +159,33 @@ def test_circuit_built_pairing_is_the_direct_pairing(name):
     cs = CycleSet(PAIRING_DIAGRAMS[name]())
     direct = [[pairing_doubled(c1, c2) for c2 in cs] for c1 in cs]
     assert list(cs.pairing_rows()) == direct
+
+
+CYCLE_SLOTS = ("components", "edge_ids", "circle_ids", "halfedges", "left_at", "right_at", "rot")
+
+
+def assert_constructor_built(cycles):
+    for cycle in cycles:
+        built = Cycle(cycle.components)
+        for slot in CYCLE_SLOTS:
+            assert getattr(cycle, slot) == getattr(built, slot), (cycle, slot)
+        assert type(cycle.rot) is int and all(type(getattr(cycle, s)) is frozenset for s in CYCLE_SLOTS[1:6])
+
+
+@pytest.mark.parametrize("name", PAIRING_DIAGRAMS)
+def test_joined_unions_are_the_constructor_built_cycles(name):
+    # _unions joins each union from its parent and one circuit; every slot
+    # must be what the constructor makes from the same components, whatever
+    # order the circuits come in (the state sum passes a component's own)
+    circuits = elementary_circuits(PAIRING_DIAGRAMS[name]())
+    cycles = _unions(circuits)
+    assert_constructor_built(cycles)
+    assert len(set(cycles)) == len(cycles)
+    for order in (circuits[::-1], iter(circuits[::-1]), circuits[1::2] + circuits[::2]):
+        again = _unions(order)
+        assert_constructor_built(again)
+        for a, b in zip(again, cycles, strict=True):
+            assert all(getattr(a, slot) == getattr(b, slot) for slot in CYCLE_SLOTS), (a, b)
 
 
 def test_pairing_is_antisymmetric():

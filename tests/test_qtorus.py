@@ -7,7 +7,9 @@ import random
 
 import pytest
 
+from moyeval import cycles as cycles_module
 from moyeval.cli import _check_mu
+from moyeval.cycles import CycleSet
 from moyeval.diagram import Coloring, Flag, builtin, parse_diagram
 from moyeval.homfly import TruncatedTorusSeries
 from moyeval.qexact import QLaurent, TruncatedRSeries
@@ -520,6 +522,56 @@ def test_image_shifts_are_the_doubled_pairing():
                 assert ca.image_shifts[l][t] == rows[l + 1][t + 1], (l, t)
 
 
+def shifts_by_pairs(ca):
+    """``image_shifts`` one pair of images at a time: the lower flag-skew
+    entries of each flag of ``f_l``, summed over those landing in ``f_t``."""
+    skew = ca.flag_algebra.signature.skew
+    images = [ca.flag_algebra.cycle_key(c) for c in ca.variables]
+    table = []
+    for a in images:
+        entries = [(j, c) for i in a for j, c in enumerate(skew[i][:i]) if c]
+        table.append(tuple(sum(c for j, c in entries if j in b) for b in map(frozenset, images)))
+    return tuple(table)
+
+
+def twisted_tetrahedron(rng):
+    """The tetrahedron's cycle algebra over a random flag skew, whose
+    cycle images need not commute with themselves."""
+    twisted = CycleAlgebra(builtin("tetrahedron"))
+    n = len(twisted.flag_algebra.signature)
+    twisted.flag_algebra.signature = TorusSignature.from_entries(
+        twisted.flag_algebra.signature.names,
+        {(i, j): rng.randrange(-2, 3) for i in range(n) for j in range(i + 1, n)})
+    return twisted
+
+
+def test_image_shifts_are_the_per_pair_sums():
+    algebras = [CycleAlgebra(builtin(name)) for name in FIXTURES]
+    algebras += [CycleAlgebra(parse_diagram(TWO_THETAS)), CycleAlgebra(thetas(3))]
+    twisted = twisted_tetrahedron(random.Random(6151))
+    assert any(shifts_by_pairs(twisted)[t][t] for t in range(len(twisted.variables)))
+    for ca in algebras + [twisted]:
+        assert ca.image_shifts == shifts_by_pairs(ca)
+        assert all(type(row) is tuple for row in ca.image_shifts)
+
+
+def test_image_shifts_never_read_the_circuit_table(monkeypatch):
+    # check --suite mu compares the flag-side table with the pairing rows,
+    # so the table must come from the flag skew alone
+    algebras = [CycleAlgebra(d) for d in (builtin("tetrahedron"), thetas(3))]
+
+    def refuse(*args):
+        raise AssertionError("image_shifts read the circuit pairing")
+
+    monkeypatch.setattr(CycleSet, "pairing_rows", refuse)
+    monkeypatch.setattr(cycles_module, "pairing_doubled", refuse)
+    for ca in algebras:
+        assert ca.image_shifts == shifts_by_pairs(ca)
+    monkeypatch.undo()
+    for ca in algebras:
+        assert _check_mu(ca)[0]
+
+
 # -- the map mu ---------------------------------------------------------------
 
 
@@ -547,11 +599,7 @@ def test_mu_matches_the_fold_of_image_products():
     rng = random.Random(6151)
     algebras = [CycleAlgebra(builtin(name)) for name in FIXTURES]
     algebras.append(CycleAlgebra(parse_diagram(TWO_THETAS)))
-    twisted = CycleAlgebra(builtin("tetrahedron"))
-    n = len(twisted.flag_algebra.signature)
-    twisted.flag_algebra.signature = TorusSignature.from_entries(
-        twisted.flag_algebra.signature.names,
-        {(i, j): rng.randrange(-2, 3) for i in range(n) for j in range(i + 1, n)})
+    twisted = twisted_tetrahedron(rng)
     assert any(twisted.image_shifts[t][t] for t in range(len(twisted.variables)))
     for ca in algebras + [twisted]:
         k = len(ca.signature)
