@@ -22,6 +22,7 @@ import argparse
 import sys
 from functools import cache
 from math import gcd
+from operator import sub
 from pathlib import Path
 
 from .cycles import CycleSet
@@ -368,18 +369,18 @@ def _cmd_homfly(args) -> int:
 def _check_mu(ca: CycleAlgebra) -> tuple[bool, str]:
     # mu(x_i) mu(x_j) is v**P[i][j] times the flag monomial of x_i + x_j, so
     # the images exchange at skew c(i, j) exactly when P[i][j] - P[j][i]
-    # equals it; P is the table mu reads.  The skew is antisymmetric, so
-    # (i, j) fails exactly when (j, i) does, and the first failing ordered
-    # pair has i < j.
+    # equals it; P is the table mu reads.  Each row of P minus its column
+    # is compared whole.  Both P - P^T and the skew are antisymmetric, so
+    # the first failing row i has its first failing entry at some j > i
+    # (rows above it all passed, and both diagonals are 0), and (i, j) is
+    # the first failing ordered pair of a row-by-row walk over the pairs i < j.
     table, skew = ca.image_shifts, ca.signature.skew
-    count = 0
-    for i in range(len(table)):
-        for j in range(i + 1, len(table)):
-            for a, b in ((i, j), (j, i)):
-                if table[a][b] - table[b][a] != skew[a][b]:
-                    return False, f"exchange of x_{a + 1} and x_{b + 1} breaks at skew {skew[a][b]}"
-            count += 2
-    return True, f"checked {count} ordered pairs against the intersection pairing"
+    for i, (row, column, expected) in enumerate(zip(table, zip(*table), skew)):
+        differences = tuple(map(sub, row, column))
+        if differences != expected:
+            j = next(j for j, (d, e) in enumerate(zip(differences, expected)) if d != e)
+            return False, f"exchange of x_{i + 1} and x_{j + 1} breaks at skew {expected[j]}"
+    return True, f"checked {len(table) * (len(table) - 1)} ordered pairs against the intersection pairing"
 
 
 def _cmd_check(args) -> int:

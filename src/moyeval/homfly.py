@@ -21,11 +21,13 @@ one raw accumulator (``moyeval.qtorus._accumulate``) and clean it once.
 Each sorts every right-hand coefficient by v-exponent once (per product in
 ``_product``, per piece in ``series_invert``), so a coefficient product
 stops at the first pair past the bound instead of testing every pair.
-``_poch_inf`` multiplies by each twist factor through the linear-factor
-kernel ``moyeval.qtorus._mul_linear``, capped at the x-degree bound, so no
-factor is built as a series, and a coefficient that the bound has emptied
-costs nothing; ``check_shift`` still builds its two single linear factors
-with ``_linear_factor``.
+``_poch_inf`` multiplies out no twist factor: the twist ``tau``, which
+multiplies ``x**alpha`` by ``v**(4 rot alpha)``, maps each factor to the
+next, so the product ``P`` satisfies the first-order q-difference equation
+``P = L_0 * tau(P)`` with ``L_0`` its first factor, and ``_poch_inf``
+solves it one x-degree at a time.  Its cost follows the terms it outputs,
+not the number of factors the bound lets through.  ``check_shift`` still
+builds its two single linear factors with ``_linear_factor``.
 
 The HOMFLY series of the diagram is
 
@@ -60,13 +62,14 @@ numbers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Sequence
 
 from .cycles import CycleSet
 from .diagram import Coloring, DiagramError, PlanarDiagram, format_coloring
 from .qexact import QLaurent, TruncatedRSeries, _Terms
-from .qtorus import CycleAlgebra, TorusElement, _accumulate, _mul_linear, _settle
+from .qtorus import CycleAlgebra, TorusElement, _accumulate, _settle
 from .statesum import eval_table
 
 __all__ = [
@@ -227,10 +230,28 @@ def _headroom(ca: CycleAlgebra, x_degree: int) -> tuple[int, int]:
     equal the true ones wherever ``deg <= W - h``.  Then a product of an
     ``h``- and a ``k``-exact element is ``(h + k)``-exact, a sum is exact
     with the larger ``h``, and ``series_invert`` of a 0-exact unit is
-    0-exact (induction on ``d`` in ``Q_d``).  An ``e_v = 2`` linear factor
-    is 0-exact (its non-constant terms have ``deg = 2 + 4k``), and
-    ``_poch_inf`` omits only factors whose non-constant terms have
-    ``e > W``; so ``poch(a)``, ``poch(a^{-1})`` and ``G`` are 0-exact.
+    0-exact (induction on ``d`` in ``Q_d``).  A linear factor with
+    ``e_v = 2`` is 0-exact, and one with ``e_v = -2`` is ``2R``-exact,
+    ``R`` the largest rotation: its terms have ``deg = e_v rot``.
+
+    The solve.  ``_poch_inf`` forms ``p_alpha`` from the ``p_{alpha - t}``
+    and then divides by ``1 - v**(4 rot alpha)``.  With ``lam(t) = 0`` the
+    identity above gives ``lam(alpha) >= lam(alpha - t) - sig(t, alpha - t)``,
+    so a term of ``p_{alpha - t}`` of degree ``d`` makes terms of degree at
+    least ``d + e_v r_t + 4 rot(alpha - t)``.  A pair it drops has
+    ``e1 + e_v r_t > W`` or lands at ``e > W``, so it would make a term of
+    ``deg > W``; the division only adds ``4 rot alpha`` to ``e`` along each
+    chain and cuts only ``e > W``.  By induction on ``|alpha|``, with
+    ``h_alpha`` the exactness of ``p_alpha`` and ``h_() = 0`` (``p_() = 1``
+    is exact): for ``e_v`` in ``{2, 6}`` every step raises the degree, so
+    ``h_alpha = 0``.  For ``e_v = -2`` an error of ``p_{alpha - t}``,
+    ``alpha - t`` nonempty, lands at degree above
+    ``W - h_{alpha - t} - 2 r_t + 4 rot(alpha - t)``, and with
+    ``h_{alpha - t} <= 2 rot(alpha - t)`` that is above ``W - 2 r_t``; the
+    same steps bound every term below by ``-2 r_t``.  So
+    ``h_alpha <= 2 max_{t in alpha} r_t <= 2R``.  Hence ``poch(a)``,
+    ``poch(a^{-1})``, ``G`` and the ``e_v = 6`` product of ``check_shift``
+    are 0-exact and its ``e_v = -2`` product is ``2R``-exact.
 
     ``M``: ``.series`` and ``check_fphi`` read terms with ``e <= Q`` of
     0-exact elements, so of ``deg <= Q + lam(alpha)``; the flow table reads
@@ -238,10 +259,10 @@ def _headroom(ca: CycleAlgebra, x_degree: int) -> tuple[int, int]:
     is the v-shift ``CycleAlgebra.mu`` adds to ``x**alpha``.  So
     ``M = max_{|alpha| <= D} (lam(alpha) + max(0, -phi(alpha)))``.
 
-    ``M_shift``: with ``R`` the largest rotation, the ``e_v = -2`` factors
-    of ``check_shift`` have terms of ``deg >= -2R``, so all it compares is
-    ``2R``-exact, and ``shift_a(2)`` lowers ``e`` by at most ``4R |alpha|``
-    (b-exponents are at least ``-2R |alpha|``).  So
+    ``M_shift``: the ``e_v = -2`` factor and product of ``check_shift``
+    are ``2R``-exact, so all it compares is ``2R``-exact, and
+    ``shift_a(2)`` lowers ``e`` by at most ``4R |alpha|`` (b-exponents are
+    at least ``-2R |alpha|``).  So
     ``M_shift = max_{|alpha| <= D} (lam(alpha) + 4R |alpha|) + 2R``.
 
     Target-bound products.  A product read only after ``retruncate(Q)``
@@ -282,21 +303,68 @@ def _headroom(ca: CycleAlgebra, x_degree: int) -> tuple[int, int]:
 
 
 def _poch_inf(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int) -> TruncatedTorusSeries:
-    """The infinite twisted product with the given slopes, mod truncation.
+    """The infinite twisted product ``P = L_0 L_1 L_2 ...`` with the given slopes, mod truncation.
 
-    Requires a positive diagram (``homfly_series`` checks): with every
-    rotation +1 the twist-k factor is congruent to 1 once ``e_v + 4k``
-    exceeds the bound, so the product stops at ``k = (q_order - e_v) // 4``.
-    The result is exact only up to the grading of ``_headroom``: callers
-    read it at a target bound below ``q_order`` by a headroom proven there.
+    ``L_k = 1 + sum_t c_t v**(4k r_t) x_t`` with ``c_t = v**(e_v r_t) b**(e_b r_t)``,
+    so ``L_{k+1} = tau(L_k)`` for the twist ``tau(x**alpha) = v**(4 rot alpha) x**alpha``,
+    an automorphism of the cycle algebra, and ``P = L_0 * tau(P)``.  On the
+    coefficient ``p_alpha`` of ``x**alpha`` (``p_() = 1``) that reads
+
+        p_alpha (1 - v**(4 rot alpha))
+            = sum_{distinct t in alpha} c_t v**(sig(t, alpha - t) + 4 rot(alpha - t)) p_{alpha - t},
+
+    with ``sig`` the shift of ``x_t * x**(alpha - t)``.  The right side is
+    pushed from each solved key of the degree below through the ring's
+    ``_addmul``, one monomial operand per variable, skipping a pair whose
+    lowest v-exponent already lands past the bound, so no empty map is made;
+    dividing by ``1 - v**(4 rot alpha)`` is one running sum along each
+    ``(b, v mod 4 rot alpha)`` chain up to the bound.  This needs
+    ``rot alpha >= 1`` for every nonempty ``alpha``: a positive diagram
+    (``homfly_series`` checks).  The result is exact only up to the grading
+    of ``_headroom``, which proves the solve: callers read it at a target
+    bound below ``q_order`` by a headroom proven there.
     """
-    cutoff = max(0, (q_order - e_v) // 4 + 1)
-    one = TruncatedTorusSeries.one(ca, x_degree, q_order)
-    acc = one.element
-    for k in range(cutoff):
-        coeffs = [TruncatedRSeries.monomial(q_order, (e_v + 4 * k) * rot, e_b * rot) for rot in ca.rots]
-        acc = _mul_linear(acc, coeffs, x_degree)
-    return one._like(acc.terms)
+    skew, rots = ca.signature.skew, ca.rots
+    operands = [(t, e_v * rot, TruncatedRSeries.monomial(q_order, e_v * rot, e_b * rot)._operand())
+                for t, rot in enumerate(rots) if e_v * rot <= q_order]
+    one = TruncatedRSeries.one(q_order)
+    level = terms = {(): one} if one else {}  # the solved keys of the degree below
+    for _ in range(x_degree):
+        rhs: dict = {}
+        for beta, p in level.items():
+            low, rot = min(v for v, _ in p.terms), sum(map(rots.__getitem__, beta))
+            for t, v_t, operand in operands:
+                pos = bisect_right(beta, t)
+                shift = sum(map(skew[t].__getitem__, beta[:pos])) + 4 * rot
+                if low + v_t + max(shift, 0) <= q_order:  # else no pair lands within the bound
+                    key = beta[:pos] + (t,) + beta[pos:]
+                    dest = rhs.get(key)
+                    if dest is None:
+                        dest = rhs[key] = {}
+                    p._addmul(dest, operand, shift)
+        level = {key: one._like(solved) for key, raw in rhs.items()
+                 if (solved := _untwist(raw, 4 * sum(map(rots.__getitem__, key)), q_order))}
+        terms = terms | level
+    return TruncatedTorusSeries.one(ca, x_degree, q_order)._like(terms)
+
+
+def _untwist(raw: dict, step: int, bound: int) -> dict:
+    """``raw / (1 - v**step)`` up to v-exponent ``bound``, as clean terms.
+
+    Each chain ``(b, v mod step)`` is one running sum from its lowest
+    v-exponent, so the cost is the size of the output.
+    """
+    chains: dict = {}
+    for (v, b), c in raw.items():
+        chains.setdefault((b, v % step), {})[v] = c
+    out = {}
+    for (b, _), chain in chains.items():
+        total = 0
+        for v in range(min(chain), bound + 1, step):
+            total += chain.get(v, 0)
+            if total:
+                out[(v, b)] = total
+    return out
 
 
 def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
@@ -424,7 +492,11 @@ def check_shift(hs: HomflySeries) -> CheckReport:
     v-slopes; ``_headroom`` proves that this headroom makes every compared
     term exact; the products read only at the target bound are formed
     only as far as it.  The two auxiliary identities peel one linear
-    factor off an infinite product after re-indexing its twists.
+    factor off an infinite product after re-indexing its twists:
+    ``P_{-2} = L * tau(P_{-2})`` with ``tau(P_{-2}) = P_2`` and
+    ``P_2 = L * P_6`` for the a-inverse slopes.  Each product is solved
+    from its own q-difference equation, so the two identities cross-check
+    two independent solves.
     """
     ca = hs.cycle_algebra
     deg, bound = hs.x_degree, hs.q_order

@@ -45,12 +45,13 @@ sorted by v-exponent, so each coefficient product stops at its bound).
 ``torus_mul`` is that loop on two elements; the graded series products
 of :mod:`moyeval.homfly` feed all their degree pairs into one
 accumulator.  ``_mul_linear`` multiplies by a linear factor
-``1 + sum_t c_t x_t``, the factor of every twisted product, without
-building it: moving ``x_t`` past a key costs the skew of the key's
-entries above ``t``, summed over those entries as in ``_mul_exps``, and
-``x_t`` lands in its sorted place.  It makes operands for the nonzero
-``c_t`` only, once per factor, so a coefficient that truncation has
-emptied costs nothing per term.
+``1 + sum_t c_t x_t``, the factor of the finite twisted products of
+:mod:`moyeval.genseries`, without building it: moving ``x_t`` past a key
+costs the skew of the key's entries above ``t``, summed over those
+entries as in ``_mul_exps``, and ``x_t`` lands in its sorted place.  It
+makes operands for the nonzero ``c_t`` only, once per factor.  (The
+infinite products of :mod:`moyeval.homfly` are not multiplied out factor
+by factor: they are solved from their q-difference equation.)
 Only the public constructor validates keys and filters; results built
 from clean terms over the same keys go through ``_like``.
 
@@ -291,19 +292,16 @@ def torus_mul(x: TorusElement, y: TorusElement) -> TorusElement:
     return x._like(_settle(acc, x.terms))
 
 
-def _mul_linear(x: TorusElement, coeffs: Sequence, max_degree: int | None = None) -> TorusElement:
-    """``x * (1 + sum_t coeffs[t] * x_t)``, forming no term of x-degree above ``max_degree``.
+def _mul_linear(x: TorusElement, coeffs: Sequence) -> TorusElement:
+    """``x * (1 + sum_t coeffs[t] * x_t)``, equal to ``torus_mul`` against that linear element.
 
-    Equal to ``torus_mul`` against that linear element, minus its terms
-    above ``max_degree``.  Moving ``x_t`` left past the key ``ea`` costs
-    ``v**shift``, with ``shift`` the sum of ``c(i, t) = -c(t, i)`` over
-    the entries ``i`` of ``tail = ea[pos:]``, where
-    ``pos = bisect_right(ea, t)``; ``x_t`` then goes in between
-    ``ea[:pos]`` and ``tail``.  That is ``_mul_exps`` with ``(t,)`` on the
-    right, summed over the key's own entries.  Terms of x-degree
-    ``max_degree`` meet only the 1.  The operands are made once per
-    factor, for the nonzero coefficients only, so a coefficient that
-    truncation has emptied costs nothing per term.
+    Moving ``x_t`` left past the key ``ea`` costs ``v**shift``, with
+    ``shift`` the sum of ``c(i, t) = -c(t, i)`` over the entries ``i`` of
+    ``tail = ea[pos:]``, where ``pos = bisect_right(ea, t)``; ``x_t`` then
+    goes in between ``ea[:pos]`` and ``tail``.  That is ``_mul_exps`` with
+    ``(t,)`` on the right, summed over the key's own entries.  The operands
+    are made once per factor, for the nonzero coefficients only, so a
+    coefficient that truncation has emptied costs nothing per term.
     """
     skew = x.signature.skew
     operands = [(t, coeff._operand()) for t, coeff in enumerate(coeffs) if coeff]
@@ -316,8 +314,6 @@ def _mul_linear(x: TorusElement, coeffs: Sequence, max_degree: int | None = None
             get = dest.get
             for key, c in ca.terms.items():
                 dest[key] = get(key, 0) + c
-        if max_degree is not None and len(ea) >= max_degree:
-            continue
         addmul = ca._addmul
         for t, operand in operands:
             pos = bisect_right(ea, t)

@@ -60,13 +60,23 @@ def uncapped_product(a, b):
     return TruncatedTorusSeries(a.x_degree, a.q_order, a.element * b.element)
 
 
-def linear_by_product(x, coeffs, max_degree=None):
-    """Reference linear kernel: ``torus_mul`` against the explicit factor,
-    then drop x-degree above ``max_degree``."""
+def linear_by_product(x, coeffs):
+    """Reference linear kernel: ``torus_mul`` against the explicit factor."""
     one = TruncatedRSeries.one(next(iter(x.terms.values())).q_order)
-    product = torus_mul(x, linear_element(x.signature, one, coeffs))
-    return TorusElement(x.signature, {
-        e: c for e, c in product.terms.items() if max_degree is None or len(e) <= max_degree})
+    return torus_mul(x, linear_element(x.signature, one, coeffs))
+
+
+def factor_product(ca, e_v, e_b, x_degree, q_order, linear=_mul_linear):
+    """Reference infinite product: the twist factors ``k = 0, 1, ...`` multiplied
+    out one by one, dropping x-degree above the bound after each.  With every
+    rotation at least 1 the factors past ``k = (q_order - e_v) // 4`` are 1
+    modulo the bound."""
+    one = TruncatedTorusSeries.one(ca, x_degree, q_order)
+    acc = one.element
+    for k in range(max(0, (q_order - e_v) // 4 + 1)):
+        coeffs = [TruncatedRSeries.monomial(q_order, (e_v + 4 * k) * rot, e_b * rot) for rot in ca.rots]
+        acc = TruncatedTorusSeries(x_degree, q_order, linear(acc, coeffs)).element
+    return one._like(acc.terms)
 
 
 def neumann_invert(s):
@@ -158,11 +168,14 @@ def test_graded_product_equals_the_uncapped_product():
 
 
 def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
-    # the series products normal-order each pair through _mul_exps; the
-    # linear kernel of the infinite products forms one coefficient product
-    # per (term, live variable) pair, and must form only those of degree
-    # sum <= 3.  Each coefficient product multiplies only the pairs that
-    # land within its bound, and none is made with an empty coefficient.
+    # the series products normal-order each pair through _mul_exps, and
+    # must form only those of degree sum <= 3.  Each coefficient product
+    # multiplies only the pairs that land within its bound, and none is
+    # made with an empty coefficient.  The infinite products offer a
+    # coefficient product only when it forms a pair, so every raw map they
+    # divide holds one.  On the benchmark's circles3 job no product settles
+    # a map without a pair (one whose pairs cancel is no waste of this
+    # kind); multiplying out the twist factors once left 608 of 2,370.
     theta = builtin("theta")
     signature = CycleAlgebra(theta).signature
     degree_sums = []
@@ -180,8 +193,9 @@ def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
             made[0] += 1
             return int(self) * other
 
-    coefficient_products = []  # per call: (multiplications made, pairs within the bound)
+    coefficient_products = []  # per call: (multiplications made, pairs within the bound, bound, in a solve)
     addmul = TruncatedRSeries._addmul
+    solving = [False]
 
     def counting(self, dest, other, shift):
         q_order, bound, rows = other
@@ -190,43 +204,56 @@ def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
         within = sum(1 for v1, _ in self.terms for v2, _, _ in rows if v1 + v2 <= top)
         before = made[0]
         addmul(self._like({key: Counted(c) for key, c in self.terms.items()}), dest, other, shift)
-        coefficient_products.append((made[0] - before, within, bound))
+        coefficient_products.append((made[0] - before, within, bound, solving[0]))
 
-    linear_pairs = []
-    empty_offered = [0]
-    linear = moyeval.homfly._mul_linear
+    poch_inf, untwist = moyeval.homfly._poch_inf, moyeval.homfly._untwist
+    divided = []
 
-    def recording_linear(x, coeffs, max_degree=None):
-        before = len(coefficient_products)
-        out = linear(x, coeffs, max_degree)
-        live = sum(1 for c in coeffs if c)
-        empty_offered[0] += len(coeffs) - live
-        within = sum(live for e in x.terms if len(e) + 1 <= max_degree)
-        linear_pairs.append((len(coefficient_products) - before, within))
-        return out
+    def recording_solve(*args):
+        solving[0] = True
+        try:
+            return poch_inf(*args)
+        finally:
+            solving[0] = False
 
+    def recording_untwist(raw, step, bound):
+        divided.append(len(raw))
+        return untwist(raw, step, bound)
+
+    settled = []
+    settle = moyeval.qtorus._settle
+
+    def recording_settle(acc, terms):
+        settled.extend(len(raw) for raw in acc.values())
+        return settle(acc, terms)
+
+    monkeypatch.setattr(moyeval.homfly, "_settle", recording_settle)
+    monkeypatch.setattr(moyeval.qtorus, "_settle", recording_settle)
     monkeypatch.setattr(moyeval.qtorus, "_mul_exps", recording)
     monkeypatch.setattr(TruncatedRSeries, "_addmul", counting)
-    monkeypatch.setattr(moyeval.homfly, "_mul_linear", recording_linear)
+    monkeypatch.setattr(moyeval.homfly, "_poch_inf", recording_solve)
+    monkeypatch.setattr(moyeval.homfly, "_untwist", recording_untwist)
     assert check_fphi(homfly_series(theta, 3, 8)).ok
     assert degree_sums and max(degree_sums) == 3
-    assert linear_pairs and all(formed == within for formed, within in linear_pairs)
-    assert sum(formed for formed, _ in linear_pairs) > 0
     # the benchmark's theta job, whose check forms its product at the
-    # target bound; then two circles, whose two-circle cycle has rotation
-    # 2, so the later twist factors carry empty coefficients
+    # target bound; then three circles, whose cycles of rotation 2 and 3
+    # carry first-factor coefficients past a small bound, and the
+    # benchmark's circles3 job
     coefficient_products.clear()
     hs = homfly_series(theta, 5, 36)
     in_series = len(coefficient_products)
     assert check_fphi(hs).ok
-    bounds = [bound for _, _, bound in coefficient_products]
+    bounds = [bound for _, _, bound, _ in coefficient_products]
     assert set(bounds[:in_series]) == {hs.poch_a.q_order} and set(bounds[in_series:]) == {36}
-    assert all(made == within for made, within, _ in coefficient_products)
-    assert sum(made for made, _, _ in coefficient_products) > 0
-    assert empty_offered == [0]
-    assert check_fphi(homfly_series(circles(2), 3, 12)).ok
-    assert empty_offered[0] > 0
-    assert all(formed == within for formed, within in linear_pairs)
+    assert check_fphi(homfly_series(circles(3), 2, 4)).ok
+    settled.clear()
+    assert check_fphi(homfly_series(circles(3), 4, 24)).ok
+    assert all(made == within for made, within, _, _ in coefficient_products)
+    solve_pairs = [made for made, _, _, solve in coefficient_products if solve]
+    assert solve_pairs and min(solve_pairs) > 0
+    assert sum(made for made, _, _, solve in coefficient_products if not solve) > 0
+    assert divided and min(divided) > 0
+    assert settled and min(settled) > 0
 
 
 def circles(k):
@@ -413,13 +440,14 @@ def test_every_operation_keeps_terms_clean():
             x_degree, q_order, TorusElement(ca.signature, {(): constant})))
 
     def linear(coeff):
-        # the linear kernel, with and without a degree cap
-        return [lambda x, y: _mul_linear(x, [coeff() for _ in range(k)], rng.choice((None, 1, 2)))]
+        # the linear kernel of the finite twisted products
+        return [lambda x, y: _mul_linear(x, [coeff() for _ in range(k)])]
 
     shared = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
               lambda x, y: -x, lambda x, y: x - x]
-    # the step _poch_inf takes: a capped linear kernel on the series' terms
-    series_linear = [lambda x, y: x._like(_mul_linear(x.element, [rseries() for _ in range(k)], x_degree).terms)]
+    # the linear kernel on the series' terms, cut to the x-degree bound by the constructor
+    series_linear = [lambda x, y: TruncatedTorusSeries(
+        x_degree, q_order, _mul_linear(x.element, [rseries() for _ in range(k)]))]
     times_v = [lambda x, y: x.times_v(rng.randrange(-4, q_order + 4))]
     shift_a = [lambda x, y: x.shift_a(rng.randrange(-q_order, q_order + 1))]
     retruncate = [lambda x: x.retruncate(rng.randrange(-2, q_order + 1))]
@@ -459,6 +487,69 @@ def test_pochhammer_inf_b_exponent_signs():
         for series, sign in ((hs.poch_a, -1), (hs.poch_ainv, 1)):
             for coeff in series.element.terms.values():
                 assert all(sign * b >= 0 for _, b in coeff.terms)
+
+
+# the slopes _poch_inf is called with: poch(a), poch(a^{-1}), and the
+# q-inverse and tail products of check_shift
+SLOPES = ((2, -2), (2, 2), (-2, -2), (6, 2))
+
+
+def solve_cases():
+    cases = [(builtin("unknot"), x, q) for x, q in ((1, 4), (3, 8), (4, 16))]
+    cases += [(builtin("theta"), x, q) for x, q in ((2, 8), (3, 12), (4, 20))]
+    cases += [(parse_diagram(TWO_THETAS), 2, 8), (parse_diagram(TWO_THETAS), 3, 12)]
+    cases += [(chain(2), 2, 12), (chain(2), 3, 8), (chain(3), 2, 8), (chain(3), 3, 4)]
+    cases += [(circles(k), x, q) for k, x, q in ((1, 3, 12), (2, 3, 8), (3, 2, 12), (3, 4, 4))]
+    return cases
+
+
+def test_the_solve_equals_the_factor_product_at_the_target_bound():
+    # at every bound each slope is solved at (Q + M in homfly_series, and
+    # Q + M_shift in check_shift for all four), the q-difference solve and
+    # the factor-by-factor product agree on every term at the target bound
+    for d, x_degree, q_order in solve_cases():
+        ca = CycleAlgebra(d)
+        margin, margin_shift = moyeval.homfly._headroom(ca, x_degree)
+        for e_v, e_b in SLOPES:
+            for work in {q_order + margin_shift} | ({q_order + margin} if e_v == 2 else set()):
+                solved = moyeval.homfly._poch_inf(ca, e_v, e_b, x_degree, work)
+                assert_clean(solved)
+                assert (solved.x_degree, solved.q_order) == (x_degree, work)
+                expected = factor_product(ca, e_v, e_b, x_degree, work).retruncate(q_order)
+                assert solved.retruncate(q_order) == expected, (d, x_degree, q_order, e_v, e_b)
+
+
+def _key_lam(skew, key):
+    """``lam`` of ``_headroom`` on a key: ``max(0, -c(t, l))`` over its pairs of positions."""
+    return sum(max(0, -skew[t][l]) for n, t in enumerate(key) for l in key[:n])
+
+
+def test_the_solve_is_exact_where_the_headroom_proof_says():
+    # the solve at W against the factor product at W + 60, which is exact
+    # far above W: they agree on every term with e + lam(alpha) <= W - h,
+    # and no solved term has e + lam(alpha) < -h, where h = 0 for e_v in
+    # {2, 6} and h = 2R for e_v = -2 (the solve paragraph of _headroom).
+    # Above W - h the two truncations differ, so the window is not vacuous.
+    cases = [(builtin("unknot"), 4, 12), (builtin("theta"), 3, 16), (parse_diagram(TWO_THETAS), 3, 12),
+             (chain(2), 3, 12), (chain(3), 2, 12), (circles(3), 3, 12)]
+    differs = set()
+    for d, x_degree, work in cases:
+        ca = CycleAlgebra(d)
+        skew, r_max = ca.signature.skew, max(ca.rots)
+        for e_v, e_b in SLOPES:
+            h = 2 * r_max if e_v < 0 else 0
+            solved = moyeval.homfly._poch_inf(ca, e_v, e_b, x_degree, work)
+            truth = factor_product(ca, e_v, e_b, x_degree, work + 60)
+            for key in solved.terms.keys() | truth.terms.keys():
+                lam = _key_lam(skew, key)
+                mine, true = (s.terms[key].terms if key in s.terms else {} for s in (solved, truth))
+                assert all(v + lam >= -h for v, _ in mine), (d, e_v, key)
+                for term in mine.keys() | true.keys():
+                    if term[0] + lam <= work - h:
+                        assert mine.get(term, 0) == true.get(term, 0), (d, e_v, key, term)
+                    elif term[0] <= work and mine.get(term, 0) != true.get(term, 0):
+                        differs.add(e_v)
+    assert differs == {-2, 2, 6}
 
 
 def test_pochhammer_inf_needs_positive_diagram(monkeypatch):
@@ -516,7 +607,8 @@ def test_series_matches_the_uncapped_reference_pipeline(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(TruncatedTorusSeries, "__mul__", uncapped_product)
             m.setattr(moyeval.homfly, "series_invert", neumann_invert)
-            m.setattr(moyeval.homfly, "_mul_linear", linear_by_product)
+            m.setattr(moyeval.homfly, "_poch_inf",
+                      lambda *args: factor_product(*args, linear=linear_by_product))
             reference = homfly_series(builtin(name), x_degree, q_order)
         assert hs.table == reference.table, (name, x_degree)
         assert hs.series == reference.series, (name, x_degree)
