@@ -38,7 +38,6 @@ from .homfly import (
     check_fphi,
     check_shift,
     homfly_series,
-    series_invert,
     specialization_check,
     specialize_to_N,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "check_fphi",
     "check_shift",
     "homfly_series",
-    "series_invert",
     "specialization_check",
     "specialize_to_N",
 ]

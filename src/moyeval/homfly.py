@@ -14,20 +14,11 @@ x-degree at most ``x_degree`` and v-exponent at most ``q_order``.
 Skew shifts never change x-degree, so the terms of x-degree above the bound
 form a two-sided ideal and dropping them is exact.  Products therefore split
 each factor into its homogeneous pieces by x-degree (``_graded``) and form
-only the pairs whose degrees sum to at most the bound, and ``series_invert``
-solves for the inverse one degree at a time from the same pieces instead of
-summing a Neumann series of full products.  Both feed all their pairs into
-one raw accumulator (``moyeval.qtorus._accumulate``) and clean it once.
-Each sorts every right-hand coefficient by v-exponent once (per product in
-``_product``, per piece in ``series_invert``), so a coefficient product
-stops at the first pair past the bound instead of testing every pair.
-``_poch_inf`` multiplies out no twist factor: the twist ``tau``, which
-multiplies ``x**alpha`` by ``v**(4 rot alpha)``, maps each factor to the
-next, so the product ``P`` satisfies the first-order q-difference equation
-``P = L_0 * tau(P)`` with ``L_0`` its first factor, and ``_poch_inf``
-solves it one x-degree at a time.  Its cost follows the terms it outputs,
-not the number of factors the bound lets through.  ``check_shift`` still
-builds its two single linear factors with ``_linear_factor``.
+only the pairs whose degrees sum to at most the bound.  They feed all
+their pairs into one raw accumulator (``moyeval.qtorus._accumulate``) and
+clean it once, and sort every right-hand coefficient by v-exponent once
+per product, so a coefficient product stops at the first pair past the
+bound instead of testing every pair.
 
 The HOMFLY series of the diagram is
 
@@ -40,11 +31,25 @@ flow coloring, a truncated two-variable series in ``q`` and ``a``; setting
 window.  ``check_fphi`` and ``check_shift`` verify the defining equation
 and the ``a -> q**2 a`` shift identity on the truncated data.
 
-``_assemble`` is the only code that builds the two products and ``G``.
-``homfly_series`` builds them once and keeps them on ``HomflySeries``;
-``check_fphi`` checks those kept products instead of building a copy.
-``check_shift`` needs a larger internal bound than the kept ones carry,
-and a truncation bound can only be lowered, so it assembles its own.
+None of the three series is multiplied out, inverted or formed as a
+product.  The twist ``tau``, which multiplies ``x**alpha`` by
+``v**(4 rot alpha)``, maps each twist factor to the next, so each product
+``P`` satisfies the first-order q-difference equation ``P = L_0 * tau(P)``
+with ``L_0`` its first factor, and ``G`` satisfies its own,
+``G * L_- = L_+ * tau(G)``, with ``L_+`` and ``L_-`` the first factors of
+``poch(a)`` and ``poch(a^{-1})``.  ``_solve_twisted`` solves both kinds
+one x-degree at a time (``_poch_inf`` and ``_poch_quotient`` call it), so
+the cost follows the terms output, not the number of factors the bound
+lets through.  ``series_invert`` is outside the pipeline (see its
+docstring).  ``check_shift`` still builds its two single linear factors
+with ``_linear_factor``.
+
+``_assemble`` is the only code that builds the two products and ``G``,
+three independent solves.  ``homfly_series`` builds them once and keeps
+them on ``HomflySeries``; ``check_fphi`` checks those kept series instead
+of building a copy.  ``check_shift`` needs a larger internal bound than
+the kept ones carry, and a truncation bound can only be lowered, so it
+assembles its own.
 
 Truncation by v-exponent is no ring quotient: skew shifts can lower
 v-exponents, so a dropped term could reach back below the bound.  Every
@@ -74,7 +79,6 @@ from .statesum import eval_table
 
 __all__ = [
     "TruncatedTorusSeries",
-    "series_invert",
     "HomflySeries",
     "homfly_series",
     "CheckReport",
@@ -202,8 +206,7 @@ def _product(x: TruncatedTorusSeries, y: TruncatedTorusSeries, bound: int) -> Tr
 def _linear_factor(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int) -> TruncatedTorusSeries:
     """``1 + sum_C v**(e_v rot) b**(e_b rot) x_C`` at the given bounds."""
     terms = {(): TruncatedRSeries.one(q_order)}
-    for index, rot in enumerate(ca.rots):
-        terms[(index,)] = TruncatedRSeries.monomial(q_order, e_v * rot, e_b * rot)
+    terms.update(((t,), coeff) for t, coeff in enumerate(_slope(ca, e_v, e_b, q_order)))
     return TruncatedTorusSeries(x_degree, q_order, TorusElement(ca.signature, terms))
 
 
@@ -234,8 +237,9 @@ def _headroom(ca: CycleAlgebra, x_degree: int) -> tuple[int, int]:
     ``e_v = 2`` is 0-exact, and one with ``e_v = -2`` is ``2R``-exact,
     ``R`` the largest rotation: its terms have ``deg = e_v rot``.
 
-    The solve.  ``_poch_inf`` forms ``p_alpha`` from the ``p_{alpha - t}``
-    and then divides by ``1 - v**(4 rot alpha)``.  With ``lam(t) = 0`` the
+    The solve.  ``_poch_inf`` (``_solve_twisted`` with no right factor)
+    forms ``p_alpha`` from the ``p_{alpha - t}`` and then divides by
+    ``1 - v**(4 rot alpha)``.  With ``lam(t) = 0`` the
     identity above gives ``lam(alpha) >= lam(alpha - t) - sig(t, alpha - t)``,
     so a term of ``p_{alpha - t}`` of degree ``d`` makes terms of degree at
     least ``d + e_v r_t + 4 rot(alpha - t)``.  A pair it drops has
@@ -250,8 +254,21 @@ def _headroom(ca: CycleAlgebra, x_degree: int) -> tuple[int, int]:
     ``h_{alpha - t} <= 2 rot(alpha - t)`` that is above ``W - 2 r_t``; the
     same steps bound every term below by ``-2 r_t``.  So
     ``h_alpha <= 2 max_{t in alpha} r_t <= 2R``.  Hence ``poch(a)``,
-    ``poch(a^{-1})``, ``G`` and the ``e_v = 6`` product of ``check_shift``
-    are 0-exact and its ``e_v = -2`` product is ``2R``-exact.
+    ``poch(a^{-1})`` and the ``e_v = 6`` product of ``check_shift`` are
+    0-exact and its ``e_v = -2`` product is ``2R``-exact.
+
+    The quotient.  ``_poch_quotient`` solves ``G * L_- = L_+ * tau(G)``
+    the same way, with two pushes from each ``g_{alpha - t}``: ``c+_t``
+    (slope (2, -2)) on the left, shifted by ``sig(t, alpha - t) +
+    4 rot(alpha - t)``, is the ``e_v = 2`` step above and raises the
+    degree by at least ``2 r_t``; ``-c-_t`` (slope (2, 2)) on the right,
+    shifted by ``sig(alpha - t, t)``, raises it by at least ``2 r_t`` too,
+    since the identity with ``lam(t) = 0`` also gives
+    ``lam(alpha) >= lam(alpha - t) - sig(alpha - t, t)``.  A pair either
+    push drops has ``e1 + 2 r_t > W`` or lands at ``e > W``, so it would
+    make a term of ``deg > W``, and the division is as above.  So, by the
+    same induction with every step raising the degree, ``G`` is 0-exact
+    at ``W`` with no new margin beyond the ``M`` and ``M_shift`` below.
 
     ``M``: ``.series`` and ``check_fphi`` read terms with ``e <= Q`` of
     0-exact elements, so of ``deg <= Q + lam(alpha)``; the flow table reads
@@ -307,41 +324,78 @@ def _poch_inf(ca: CycleAlgebra, e_v: int, e_b: int, x_degree: int, q_order: int)
 
     ``L_k = 1 + sum_t c_t v**(4k r_t) x_t`` with ``c_t = v**(e_v r_t) b**(e_b r_t)``,
     so ``L_{k+1} = tau(L_k)`` for the twist ``tau(x**alpha) = v**(4 rot alpha) x**alpha``,
-    an automorphism of the cycle algebra, and ``P = L_0 * tau(P)``.  On the
-    coefficient ``p_alpha`` of ``x**alpha`` (``p_() = 1``) that reads
+    an automorphism of the cycle algebra, and ``P = L_0 * tau(P)``: the
+    equation of ``_solve_twisted`` with no right factor.
+    """
+    return _solve_twisted(ca, x_degree, q_order, _slope(ca, e_v, e_b, q_order))
 
-        p_alpha (1 - v**(4 rot alpha))
-            = sum_{distinct t in alpha} c_t v**(sig(t, alpha - t) + 4 rot(alpha - t)) p_{alpha - t},
 
-    with ``sig`` the shift of ``x_t * x**(alpha - t)``.  The right side is
-    pushed from each solved key of the degree below through the ring's
-    ``_addmul``, one monomial operand per variable, skipping a pair whose
-    lowest v-exponent already lands past the bound, so no empty map is made;
-    dividing by ``1 - v**(4 rot alpha)`` is one running sum along each
-    ``(b, v mod 4 rot alpha)`` chain up to the bound.  This needs
-    ``rot alpha >= 1`` for every nonempty ``alpha``: a positive diagram
-    (``homfly_series`` checks).  The result is exact only up to the grading
-    of ``_headroom``, which proves the solve: callers read it at a target
-    bound below ``q_order`` by a headroom proven there.
+def _poch_quotient(ca: CycleAlgebra, x_degree: int, q_order: int) -> TruncatedTorusSeries:
+    """``G = poch(a) * poch(a^{-1})^{-1}``, mod truncation, without inverting or multiplying.
+
+    With ``P_+ = poch(a) = L_+ * tau(P_+)`` and ``P_- = poch(a^{-1}) = L_- * tau(P_-)``
+    (first factors ``L_+`` of slope (2, -2) and ``L_-`` of slope (2, 2)),
+    ``P_-^{-1} * L_- = tau(P_-)^{-1}``, so ``G * L_- = L_+ * tau(G)``: the
+    equation of ``_solve_twisted`` with both factors.
+    """
+    return _solve_twisted(ca, x_degree, q_order, _slope(ca, 2, -2, q_order), _slope(ca, 2, 2, q_order))
+
+
+def _slope(ca: CycleAlgebra, e_v: int, e_b: int, q_order: int) -> list[TruncatedRSeries]:
+    """The coefficients ``v**(e_v r_t) b**(e_b r_t)`` of the linear factor of this slope."""
+    return [TruncatedRSeries.monomial(q_order, e_v * rot, e_b * rot) for rot in ca.rots]
+
+
+def _solve_twisted(
+    ca: CycleAlgebra, x_degree: int, q_order: int,
+    left: Sequence[TruncatedRSeries], right: Sequence[TruncatedRSeries] = (),
+) -> TruncatedTorusSeries:
+    """The series ``S`` with ``S_() = 1`` and ``S * R = L * tau(S)``, mod truncation.
+
+    ``L = 1 + sum_t left[t] x_t`` and ``R = 1 + sum_t right[t] x_t`` (no
+    terms when ``right`` is empty), and ``tau(x**alpha) = v**(4 rot alpha) x**alpha``
+    is the twist.  On the coefficient ``s_alpha`` of ``x**alpha`` that reads
+
+        s_alpha (1 - v**(4 rot alpha))
+            = sum_{distinct t in alpha} (left_t v**(sig(t, alpha - t) + 4 rot(alpha - t))
+                                         - right_t v**(sig(alpha - t, t))) s_{alpha - t},
+
+    with ``sig(alpha, beta)`` the shift of ``x**alpha * x**beta``.  The right
+    side is pushed from each solved key of the degree below through the
+    ring's ``_addmul``, one monomial operand per variable and factor,
+    skipping a pair whose lowest v-exponent already lands past the bound,
+    so no empty map is made; dividing by ``1 - v**(4 rot alpha)`` is one
+    running sum along each ``(b, v mod 4 rot alpha)`` chain up to the
+    bound.  This needs ``rot alpha >= 1`` for every nonempty ``alpha``: a
+    positive diagram (``homfly_series`` checks).  The result is exact only
+    up to the grading of ``_headroom``, which proves the solve: callers
+    read it at a target bound below ``q_order`` by a headroom proven there.
     """
     skew, rots = ca.signature.skew, ca.rots
-    operands = [(t, e_v * rot, TruncatedRSeries.monomial(q_order, e_v * rot, e_b * rot)._operand())
-                for t, rot in enumerate(rots) if e_v * rot <= q_order]
+    pushes = []  # (t, lowest v, operand, twisted): the left factor twisted, the right one negated
+    for twisted, coeffs in ((True, left), (False, [-c for c in right])):
+        for t, coeff in enumerate(coeffs):
+            if coeff:
+                operand = coeff._operand()
+                pushes.append((t, operand[2][0][0], operand, twisted))
     one = TruncatedRSeries.one(q_order)
     level = terms = {(): one} if one else {}  # the solved keys of the degree below
     for _ in range(x_degree):
         rhs: dict = {}
-        for beta, p in level.items():
-            low, rot = min(v for v, _ in p.terms), sum(map(rots.__getitem__, beta))
-            for t, v_t, operand in operands:
+        for beta, s in level.items():
+            low, twist = min(v for v, _ in s.terms), 4 * sum(map(rots.__getitem__, beta))
+            for t, v_t, operand, twisted in pushes:
                 pos = bisect_right(beta, t)
-                shift = sum(map(skew[t].__getitem__, beta[:pos])) + 4 * rot
+                if twisted:  # sig(t, beta), over the entries of beta below t
+                    shift = sum(map(skew[t].__getitem__, beta[:pos])) + twist
+                else:  # sig(beta, t), over those above
+                    shift = -sum(map(skew[t].__getitem__, beta[pos:]))
                 if low + v_t + max(shift, 0) <= q_order:  # else no pair lands within the bound
                     key = beta[:pos] + (t,) + beta[pos:]
                     dest = rhs.get(key)
                     if dest is None:
                         dest = rhs[key] = {}
-                    p._addmul(dest, operand, shift)
+                    s._addmul(dest, operand, shift)
         level = {key: one._like(solved) for key, raw in rhs.items()
                  if (solved := _untwist(raw, 4 * sum(map(rots.__getitem__, key)), q_order))}
         terms = terms | level
@@ -369,6 +423,12 @@ def _untwist(raw: dict, step: int, bound: int) -> dict:
 
 def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
     """Invert a series with constant term 1, modulo both truncations.
+
+    No code of the package calls it, and it is not exported:
+    ``_poch_quotient`` solves ``G`` without an inverse.  It stays because
+    the benchmark's tracer (``bench/tracing.py``) binds
+    ``moyeval.homfly.series_invert`` by name and raises ``LookupError``
+    without it, and its unit tests pin it down.
 
     With ``P_j`` the x-degree-``j`` piece of ``s`` (so ``P_0 = 1``), the
     inverse is built degree by degree: ``Q_0 = 1`` and
@@ -400,16 +460,15 @@ def _assemble(
     ca: CycleAlgebra, x_degree: int, work: int
 ) -> tuple[TruncatedTorusSeries, TruncatedTorusSeries, TruncatedTorusSeries]:
     """``poch(a)``, ``poch(a^{-1})`` and ``G = poch(a) * poch(a^{-1})^{-1}`` at bound ``work``."""
-    poch_a = _poch_inf(ca, 2, -2, x_degree, work)
-    poch_ainv = _poch_inf(ca, 2, 2, x_degree, work)
-    return poch_a, poch_ainv, poch_a * series_invert(poch_ainv)
+    return (_poch_inf(ca, 2, -2, x_degree, work), _poch_inf(ca, 2, 2, x_degree, work),
+            _poch_quotient(ca, x_degree, work))
 
 
 class HomflySeries(NamedTuple):
     """The truncated HOMFLY data of a positive diagram.
 
-    ``poch_a``, ``poch_ainv`` and ``series_work`` (``G``) are the products
-    ``homfly_series`` built, kept at its internal work bound
+    ``poch_a``, ``poch_ainv`` and ``series_work`` (``G``) are the series
+    ``homfly_series`` solved, kept at its internal work bound
     ``poch_a.q_order`` so that ``check_fphi`` checks them, not a copy.
     """
 
@@ -431,7 +490,7 @@ class HomflySeries(NamedTuple):
 def homfly_series(d: PlanarDiagram, x_degree: int, q_order: int) -> HomflySeries:
     """Compute the truncated HOMFLY series and its flow table.
 
-    The whole pipeline (products, inversion, the flag substitution) runs at
+    The whole pipeline (the three solves, the flag substitution) runs at
     the internal bound ``q_order + M``, with ``M`` the headroom proven in
     ``_headroom``, and is re-truncated at the end, so every stored table
     term is the true series coefficient.  A diagram that is not positive is
@@ -464,9 +523,12 @@ class CheckReport(NamedTuple):
 def check_fphi(hs: HomflySeries) -> CheckReport:
     """Verify ``G * poch(a^{-1}) == poch(a)`` at the stored bounds.
 
-    The residual is formed from the products ``hs`` keeps at its work
+    The residual is formed from the series ``hs`` keeps at its work
     bound, their product formed only as far as the target bound, so the
-    comparison is between true coefficients (see ``_headroom``).
+    comparison is between true coefficients (see ``_headroom``).  ``G``
+    and the two products are three independent solves, each of its own
+    q-difference equation, so the check compares all three; none of them
+    is built from another.
     """
     bound, work = hs.q_order, hs.poch_a.q_order
     lhs = _product(hs.series_work, hs.poch_ainv, bound)

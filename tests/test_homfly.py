@@ -171,11 +171,12 @@ def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
     # the series products normal-order each pair through _mul_exps, and
     # must form only those of degree sum <= 3.  Each coefficient product
     # multiplies only the pairs that land within its bound, and none is
-    # made with an empty coefficient.  The infinite products offer a
-    # coefficient product only when it forms a pair, so every raw map they
-    # divide holds one.  On the benchmark's circles3 job no product settles
-    # a map without a pair (one whose pairs cancel is no waste of this
-    # kind); multiplying out the twist factors once left 608 of 2,370.
+    # made with an empty coefficient.  The q-difference solves (the two
+    # infinite products and G) offer a coefficient product only when it
+    # forms a pair, so every raw map they divide holds one.  On the
+    # benchmark's circles3 job no product settles a map without a pair (one
+    # whose pairs cancel is no waste of this kind); multiplying out the
+    # twist factors once left 608 of 2,370.
     theta = builtin("theta")
     signature = CycleAlgebra(theta).signature
     degree_sums = []
@@ -206,13 +207,13 @@ def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
         addmul(self._like({key: Counted(c) for key, c in self.terms.items()}), dest, other, shift)
         coefficient_products.append((made[0] - before, within, bound, solving[0]))
 
-    poch_inf, untwist = moyeval.homfly._poch_inf, moyeval.homfly._untwist
+    solve, untwist = moyeval.homfly._solve_twisted, moyeval.homfly._untwist
     divided = []
 
     def recording_solve(*args):
         solving[0] = True
         try:
-            return poch_inf(*args)
+            return solve(*args)
         finally:
             solving[0] = False
 
@@ -231,7 +232,7 @@ def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
     monkeypatch.setattr(moyeval.qtorus, "_settle", recording_settle)
     monkeypatch.setattr(moyeval.qtorus, "_mul_exps", recording)
     monkeypatch.setattr(TruncatedRSeries, "_addmul", counting)
-    monkeypatch.setattr(moyeval.homfly, "_poch_inf", recording_solve)
+    monkeypatch.setattr(moyeval.homfly, "_solve_twisted", recording_solve)
     monkeypatch.setattr(moyeval.homfly, "_untwist", recording_untwist)
     assert check_fphi(homfly_series(theta, 3, 8)).ok
     assert degree_sums and max(degree_sums) == 3
@@ -552,12 +553,90 @@ def test_the_solve_is_exact_where_the_headroom_proof_says():
     assert differs == {-2, 2, 6}
 
 
+def test_the_quotient_solve_is_exact_where_the_headroom_proof_says():
+    # G solved at W against the reference quotient at W + 60, which is exact
+    # far above W: they agree on every term with e + lam(alpha) <= W, no
+    # solved term has e + lam(alpha) < 0 (G is 0-exact, the quotient
+    # paragraph of _headroom), and above W the two truncations differ
+    cases = [(builtin("unknot"), 4, 12), (builtin("theta"), 3, 16), (parse_diagram(TWO_THETAS), 3, 12),
+             (chain(2), 3, 12), (chain(3), 2, 12), (circles(3), 3, 12)]
+    differs = 0
+    for d, x_degree, work in cases:
+        ca = CycleAlgebra(d)
+        solved = moyeval.homfly._poch_quotient(ca, x_degree, work)
+        assert_clean(solved)
+        assert (solved.x_degree, solved.q_order) == (x_degree, work)
+        truth = reference_quotient(ca, x_degree, work + 60)
+        for key in solved.terms.keys() | truth.terms.keys():
+            lam = _key_lam(ca.signature.skew, key)
+            mine, true = (s.terms[key].terms if key in s.terms else {} for s in (solved, truth))
+            assert all(v + lam >= 0 for v, _ in mine), (d, key)
+            for term in mine.keys() | true.keys():
+                if term[0] + lam <= work:
+                    assert mine.get(term, 0) == true.get(term, 0), (d, key, term)
+                elif term[0] <= work and mine.get(term, 0) != true.get(term, 0):
+                    differs += 1
+    assert differs > 0
+
+
+def test_a_flipped_right_push_fails_the_defining_equation(monkeypatch):
+    # G pushes the right factor's coefficients with a minus sign; with a
+    # plus sign the two products are unchanged (they have no right factor),
+    # and check_fphi, which compares three independent solves, fails
+    solve = moyeval.homfly._solve_twisted
+
+    def flipped(ca, x_degree, q_order, left, right=()):
+        return solve(ca, x_degree, q_order, left, [-c for c in right])
+
+    for d, x_degree, q_order in ((builtin("theta"), 3, 8), (circles(3), 2, 8)):
+        assert check_fphi(homfly_series(d, x_degree, q_order)).ok
+        with monkeypatch.context() as m:
+            m.setattr(moyeval.homfly, "_solve_twisted", flipped)
+            report = check_fphi(homfly_series(d, x_degree, q_order))
+        assert not report.ok and report.detail.startswith("residual has "), d
+
+
+def closed_form(ca, x_degree, q_order):
+    """``G = sum_{n <= D} g_n X**n`` on a diagram whose cycles all have rotation 1,
+    at the target bound: ``X = sum_t x_t``, so every twist factor is
+    ``1 + (scalar) X``, the factors commute, and the q-binomial theorem gives
+    ``g_n = (-1)**n v**(2n) b**(2n) (b**-4; v**4)_n / (v**4; v**4)_n``.
+    The powers of ``X`` are exact, over ``QLaurent``; each ``g_n`` is expanded
+    as far as the lowest v-exponent of its power of ``X`` needs."""
+    assert set(ca.rots) == {1}
+    x = TorusElement(ca.signature, {(t,): QLaurent.one() for t in range(len(ca.rots))})
+    power, terms = TorusElement(ca.signature, {(): QLaurent.one()}), {}
+    for n in range(x_degree + 1):
+        lowest = min(min(c.terms) for c in power.terms.values())
+        bound = q_order - min(lowest, 0)
+        g = TruncatedRSeries.monomial(bound, 2 * n, 2 * n, (-1) ** n)
+        for k in range(n):
+            g = g * TruncatedRSeries(bound, {(0, 0): 1, (4 * k, -4): -1})
+            g = g * TruncatedRSeries(bound, {(4 * (k + 1) * j, 0): 1 for j in range(bound + 1)})
+        for key, coeff in power.terms.items():
+            row = (g * TruncatedRSeries(bound, {(v, 0): c for v, c in coeff.terms.items()})).retruncate(q_order)
+            if row:
+                terms[key] = row
+        power = torus_mul(power, x)
+    return TruncatedTorusSeries(x_degree, q_order, TorusElement(ca.signature, terms))
+
+
+def test_the_series_equals_the_closed_form_on_uniform_diagrams():
+    # on diagrams whose nonempty cycles all have rotation 1, the solved G,
+    # read at the target bound, is the closed form term by term
+    for d, x_degree, q_order, keys in ((builtin("theta"), 4, 16, 15), (chain(2), 3, 12, 35),
+                                       (chain(3), 3, 12, 165)):
+        hs = homfly_series(d, x_degree, q_order)
+        assert len(hs.series.terms) == keys
+        assert hs.series == closed_form(hs.cycle_algebra, x_degree, q_order), d
+
+
 def test_pochhammer_inf_needs_positive_diagram(monkeypatch):
     # homfly_series refuses before the cycle algebra, the headroom walk or any product
     def unreachable(*args):
         raise AssertionError("ran before the positivity check")
 
-    for name in ("CycleAlgebra", "_headroom", "_poch_inf"):
+    for name in ("CycleAlgebra", "_headroom", "_poch_inf", "_poch_quotient", "_solve_twisted"):
         monkeypatch.setattr(moyeval.homfly, name, unreachable)
     with pytest.raises(DiagramError, match="positive diagram"):
         homfly_series(builtin("tetrahedron"), 2, 8)
@@ -600,15 +679,28 @@ def test_truncation_bounds_are_coherent():
         assert loose.table[coloring].retruncate(8) == value
 
 
+def reference_quotient(ca, x_degree, q_order, linear=_mul_linear):
+    """Reference ``G``: ``poch(a) * poch(a^{-1})**-1`` from the factor products,
+    a Neumann inverse and an uncapped product, none of them a q-difference solve."""
+    poch_a, poch_ainv = (factor_product(ca, 2, e_b, x_degree, q_order, linear) for e_b in (-2, 2))
+    return uncapped_product(poch_a, neumann_invert(poch_ainv))
+
+
 def test_series_matches_the_uncapped_reference_pipeline(monkeypatch):
+    # every product of homfly_series replaced: the two infinite products by
+    # the twist factors multiplied out against explicit linear elements, and
+    # G by the reference quotient instead of its own q-difference solve
+    def reference_assemble(ca, x_degree, work):
+        poch_a, poch_ainv = (factor_product(ca, 2, e_b, x_degree, work, linear_by_product)
+                             for e_b in (-2, 2))
+        return poch_a, poch_ainv, reference_quotient(ca, x_degree, work, linear_by_product)
+
     cases = [("unknot", x, 12) for x in range(5)] + [("theta", x, 8) for x in range(5)]
     for name, x_degree, q_order in cases:
         hs = homfly_series(builtin(name), x_degree, q_order)
         with monkeypatch.context() as m:
             m.setattr(TruncatedTorusSeries, "__mul__", uncapped_product)
-            m.setattr(moyeval.homfly, "series_invert", neumann_invert)
-            m.setattr(moyeval.homfly, "_poch_inf",
-                      lambda *args: factor_product(*args, linear=linear_by_product))
+            m.setattr(moyeval.homfly, "_assemble", reference_assemble)
             reference = homfly_series(builtin(name), x_degree, q_order)
         assert hs.table == reference.table, (name, x_degree)
         assert hs.series == reference.series, (name, x_degree)
@@ -729,17 +821,18 @@ def test_defining_equation_checks_the_kept_series():
 
 
 def test_products_are_built_once_per_series_and_check(monkeypatch):
+    # two infinite products and G, each one solve
     calls = []
-    original = moyeval.homfly._poch_inf
+    original = moyeval.homfly._solve_twisted
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(moyeval.homfly, "_poch_inf", counting)
+    monkeypatch.setattr(moyeval.homfly, "_solve_twisted", counting)
     hs = homfly_series(builtin("theta"), 2, 8)
     assert check_fphi(hs).ok
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_shift_property_holds():
