@@ -228,6 +228,19 @@ def pairing_doubled(c1: Cycle, c2: Cycle) -> int:
     return len(c1.left_at & c2.right_at) - len(c1.right_at & c2.left_at)
 
 
+def _cycle_set_of(d: PlanarDiagram, cycle_set: CycleSet | None) -> CycleSet:
+    """``cycle_set``, or the cycles of ``d`` when it is ``None``.
+
+    A set built for another diagram is refused: its cycles, slots and
+    vertices would be read against the wrong graph.
+    """
+    if cycle_set is None:
+        return CycleSet(d)
+    if cycle_set.diagram is not d:
+        raise ValueError("the cycle data belongs to another diagram")
+    return cycle_set
+
+
 class CycleSet:
     """The cycles of a diagram in canonical order, with pairing data.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .cycles import CycleSet
+from .cycles import CycleSet, _cycle_set_of
 from .diagram import Coloring, PlanarDiagram
 from .qexact import QLaurent
 from .qtorus import CycleAlgebra, TorusElement, _mul_linear
@@ -39,7 +39,7 @@ def classical_series(d: PlanarDiagram, n: int, *, cycle_set: CycleSet | None = N
     The coefficient of a coloring counts the level-``n`` states realizing
     it, so this table matches the ``q = 1`` state-sum evaluations.
     """
-    held = [set(d.slots(c.edge_ids, c.circle_ids)) for c in cycle_set or CycleSet(d)]
+    held = [set(d.slots(c.edge_ids, c.circle_ids)) for c in _cycle_set_of(d, cycle_set)]
     base = [[int(i in h) for i in range(d.slot_count)] for h in held]
     table = {(0,) * d.slot_count: 1}
     for _ in range(n):
@@ -73,4 +73,5 @@ def generating_series_N(
 ) -> dict[Coloring, QLaurent]:
     """Level-``n`` evaluation table computed through the cycle algebra."""
     ca = cycle_algebra or CycleAlgebra(d)
+    _cycle_set_of(d, ca.cycle_set)  # refuses an algebra built for another diagram
     return ca.flow_table(pochhammer_N(ca, n))

@@ -44,12 +44,12 @@ lets through.  ``series_invert`` is outside the pipeline (see its
 docstring).  ``check_shift`` still builds its two single linear factors
 with ``_linear_factor``.
 
-``_assemble`` is the only code that builds the two products and ``G``,
-three independent solves.  ``homfly_series`` builds them once and keeps
-them on ``HomflySeries``; ``check_fphi`` checks those kept series instead
-of building a copy.  ``check_shift`` needs a larger internal bound than
-the kept ones carry, and a truncation bound can only be lowered, so it
-assembles its own.
+``homfly_series`` solves ``G`` alone and keeps it on ``HomflySeries``,
+the series its table came from.  Each check solves the products it
+compares: ``check_fphi`` the two products at the kept ``G``'s work bound,
+so it compares three independent solves, and ``check_shift``, which
+needs a larger internal bound than ``G`` carries (a truncation bound can
+only be lowered), its own ``G`` and products.
 
 Truncation by v-exponent is no ring quotient: skew shifts can lower
 v-exponents, so a dropped term could reach back below the bound.  Every
@@ -456,29 +456,19 @@ def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
     return s._like(terms)
 
 
-def _assemble(
-    ca: CycleAlgebra, x_degree: int, work: int
-) -> tuple[TruncatedTorusSeries, TruncatedTorusSeries, TruncatedTorusSeries]:
-    """``poch(a)``, ``poch(a^{-1})`` and ``G = poch(a) * poch(a^{-1})^{-1}`` at bound ``work``."""
-    return (_poch_inf(ca, 2, -2, x_degree, work), _poch_inf(ca, 2, 2, x_degree, work),
-            _poch_quotient(ca, x_degree, work))
-
-
 class HomflySeries(NamedTuple):
     """The truncated HOMFLY data of a positive diagram.
 
-    ``poch_a``, ``poch_ainv`` and ``series_work`` (``G``) are the series
-    ``homfly_series`` solved, kept at its internal work bound
-    ``poch_a.q_order`` so that ``check_fphi`` checks them, not a copy.
+    ``series_work`` is ``G``, the series ``homfly_series`` solved and read
+    its table from, kept at its internal work bound ``series_work.q_order``
+    so that ``check_fphi`` checks it, not a copy.  The diagram is
+    ``cycle_algebra.diagram``.
     """
 
-    diagram: PlanarDiagram
     cycle_algebra: CycleAlgebra
     x_degree: int
     q_order: int
-    poch_a: TruncatedTorusSeries
-    poch_ainv: TruncatedTorusSeries
-    series_work: TruncatedTorusSeries  # poch_a * poch_ainv^-1
+    series_work: TruncatedTorusSeries  # G = poch(a) * poch(a^{-1})^-1
     table: dict  # Coloring -> TruncatedRSeries
 
     @property
@@ -490,7 +480,7 @@ class HomflySeries(NamedTuple):
 def homfly_series(d: PlanarDiagram, x_degree: int, q_order: int) -> HomflySeries:
     """Compute the truncated HOMFLY series and its flow table.
 
-    The whole pipeline (the three solves, the flag substitution) runs at
+    The whole pipeline (the solve of ``G``, the flag substitution) runs at
     the internal bound ``q_order + M``, with ``M`` the headroom proven in
     ``_headroom``, and is re-truncated at the end, so every stored table
     term is the true series coefficient.  A diagram that is not positive is
@@ -504,10 +494,10 @@ def homfly_series(d: PlanarDiagram, x_degree: int, q_order: int) -> HomflySeries
         )
     ca = CycleAlgebra(d, cycle_set)
     margin, _ = _headroom(ca, x_degree)
-    poch_a, poch_ainv, series_work = _assemble(ca, x_degree, q_order + margin)
+    series_work = _poch_quotient(ca, x_degree, q_order + margin)
     flows = ca.flow_table(series_work.element)
     table = {c: tight for c, coeff in flows.items() if (tight := coeff.retruncate(q_order))}
-    return HomflySeries(d, ca, x_degree, q_order, poch_a, poch_ainv, series_work, table)
+    return HomflySeries(ca, x_degree, q_order, series_work, table)
 
 
 class CheckReport(NamedTuple):
@@ -523,16 +513,16 @@ class CheckReport(NamedTuple):
 def check_fphi(hs: HomflySeries) -> CheckReport:
     """Verify ``G * poch(a^{-1}) == poch(a)`` at the stored bounds.
 
-    The residual is formed from the series ``hs`` keeps at its work
-    bound, their product formed only as far as the target bound, so the
-    comparison is between true coefficients (see ``_headroom``).  ``G``
-    and the two products are three independent solves, each of its own
-    q-difference equation, so the check compares all three; none of them
-    is built from another.
+    The residual is formed from the ``G`` that ``hs`` keeps and the two
+    products, solved here at its work bound, with the product formed only
+    as far as the target bound, so the comparison is between true
+    coefficients (see ``_headroom``).  ``G`` and the two products are three
+    independent solves, each of its own q-difference equation, so the check
+    compares all three; none of them is built from another.
     """
-    bound, work = hs.q_order, hs.poch_a.q_order
-    lhs = _product(hs.series_work, hs.poch_ainv, bound)
-    rhs = hs.poch_a.retruncate(bound)
+    ca, deg, bound, work = hs.cycle_algebra, hs.x_degree, hs.q_order, hs.series_work.q_order
+    lhs = _product(hs.series_work, _poch_inf(ca, 2, 2, deg, work), bound)
+    rhs = _poch_inf(ca, 2, -2, deg, work).retruncate(bound)
     residual = lhs - rhs
     compared = len(lhs.element.terms.keys() | rhs.element.terms.keys())
     ok = not residual
@@ -565,7 +555,8 @@ def check_shift(hs: HomflySeries) -> CheckReport:
     _, margin = _headroom(ca, deg)
     work = bound + margin
 
-    poch_a, poch_ainv, series = _assemble(ca, deg, work)
+    poch_a, poch_ainv = _poch_inf(ca, 2, -2, deg, work), _poch_inf(ca, 2, 2, deg, work)
+    series = _poch_quotient(ca, deg, work)
     factor_qinv = _linear_factor(ca, -2, -2, deg, work)
     factor_ainv = _linear_factor(ca, 2, 2, deg, work)
 
@@ -640,7 +631,7 @@ def specialization_check(hs: HomflySeries, n: int) -> CheckReport:
     appear in the series table, or the x-degree bound is too small; every
     series coloring the state sum does not realize must specialize to zero.
     """
-    reference = eval_table(hs.diagram, n, cycle_set=hs.cycle_algebra.cycle_set)
+    reference = eval_table(hs.cycle_algebra.diagram, n, cycle_set=hs.cycle_algebra.cycle_set)
     specialized = specialize_to_N(hs, n)
     window = _specialization_window(hs, n)
     problems = []

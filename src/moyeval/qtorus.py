@@ -114,7 +114,7 @@ from itertools import groupby, islice
 from operator import add
 from typing import Mapping, Sequence
 
-from .cycles import Cycle, CycleSet
+from .cycles import Cycle, CycleSet, _cycle_set_of
 from .diagram import Coloring, Flag, PlanarDiagram, ROLES
 from .qexact import QLaurent, _drop_zeros, _Terms
 
@@ -370,7 +370,7 @@ class CycleAlgebra:
 
     def __init__(self, d: PlanarDiagram, cycle_set: CycleSet | None = None):
         self.diagram = d
-        self.cycle_set = cycle_set or CycleSet(d)
+        self.cycle_set = _cycle_set_of(d, cycle_set)
         self.variables = self.cycle_set.cycles[1:]  # canonical indices 1..K
         names = [f"x_{i + 1}" for i in range(len(self.variables))]
         rows = islice(self.cycle_set.pairing_rows(), 1, None)  # the empty cycle has no variable

@@ -56,7 +56,7 @@ import itertools
 from collections import Counter
 from typing import Iterator, Sequence
 
-from .cycles import Cycle, CycleSet, _unions
+from .cycles import Cycle, CycleSet, _cycle_set_of, _unions
 from .diagram import Coloring, DiagramError, Flag, PlanarDiagram, validate_coloring
 from .qexact import QLaurent
 
@@ -97,7 +97,7 @@ def _parts(d: PlanarDiagram, cycle_set: CycleSet | None) -> Iterator[tuple[list[
         groups.setdefault(("vertex", find(e.tail.vertex)), ([], []))[0].append(d.edge_slot[e.id])
     for c in d.circles:
         groups[("circle", c.id)] = ([d.circle_slot[c.id]], [])
-    for circuit in (cycle_set or CycleSet(d)).circuits:
+    for circuit in _cycle_set_of(d, cycle_set).circuits:
         if circuit.circle_id is None:
             key = ("vertex", find(d.edge_by_id[circuit.edge_ids[0]].tail.vertex))
         else:
@@ -247,7 +247,7 @@ def eval_table_alt(
     built once, through the validating ``Coloring`` constructor, and the
     multiset keeps the coloring's exponent counts.
     """
-    cycles = (cycle_set or CycleSet(d)).cycles
+    cycles = _cycle_set_of(d, cycle_set).cycles
     at = {v.id: ([], []) for v in d.vertices}
     flags = [[at[v][0] for v in cycle.left_at] + [at[v][1] for v in cycle.right_at] for cycle in cycles]
     passed = [[at[v] for v in cycle.left_at | cycle.right_at] for cycle in cycles]

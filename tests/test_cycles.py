@@ -14,7 +14,10 @@ from moyeval.cycles import (
     pairing_doubled,
     rotation_of_loop,
 )
-from moyeval.diagram import DiagramError, Flag, PlanarDiagram, builtin, parse_diagram
+from moyeval.diagram import Coloring, DiagramError, Flag, PlanarDiagram, builtin, parse_diagram
+from moyeval.genseries import classical_series, generating_series_N
+from moyeval.qtorus import CycleAlgebra
+from moyeval.statesum import eval_table, eval_table_alt, moy_eval
 from test_chain import chain
 from test_statesum import CIRCLE_PLACES, SPLIT_FILE, theta_with_circles
 
@@ -242,3 +245,21 @@ def test_enumeration_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_cycle_data_of_another_diagram_is_refused():
+    # a cycle set or cycle algebra built for the tetrahedron, handed to an
+    # evaluation of theta, would read its cycles against the wrong graph
+    theta, tetrahedron = builtin("theta"), builtin("tetrahedron")
+    foreign = CycleSet(tetrahedron)
+    calls = [
+        lambda: CycleAlgebra(theta, foreign),
+        lambda: generating_series_N(theta, 2, cycle_algebra=CycleAlgebra(tetrahedron, foreign)),
+        lambda: eval_table(theta, 2, cycle_set=foreign),
+        lambda: moy_eval(theta, Coloring(edges={0: 1, 1: 1}), 2, cycle_set=foreign),
+        lambda: eval_table_alt(theta, 2, cycle_set=foreign),
+        lambda: classical_series(theta, 2, cycle_set=foreign),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="belongs to another diagram"):
+            call()

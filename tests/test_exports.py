@@ -1,10 +1,12 @@
 """Every exported name resolves, in the package and in each submodule,
-every imported name is used, every private name has a caller, and every
-exported function or class has a reader besides the unit tests."""
+every imported name is used, every private name has a caller, every
+exported function or class has a reader besides the unit tests, and the
+package imports nothing outside the standard library."""
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import moyeval
@@ -34,6 +36,20 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(imported - used - set(module.__all__))
         assert not unused, (module.__name__, unused)
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # relative imports stay inside the package; every absolute one names a
+    # standard-library module
+    imported = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported and "__future__" in imported
+    assert sorted(imported - sys.stdlib_module_names) == []
 
 
 def _is_private(name):

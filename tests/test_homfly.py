@@ -8,7 +8,8 @@ import pytest
 
 import moyeval.homfly
 import moyeval.qtorus
-from moyeval.diagram import Coloring, DiagramError, builtin, parse_diagram
+from moyeval.cli import main
+from moyeval.diagram import Coloring, DiagramError, builtin, parse_diagram, serialize_diagram
 from moyeval.genseries import pochhammer_N
 from moyeval.homfly import (
     TruncatedTorusSeries,
@@ -244,8 +245,11 @@ def test_products_form_no_pair_above_the_degree_bound(monkeypatch):
     hs = homfly_series(theta, 5, 36)
     in_series = len(coefficient_products)
     assert check_fphi(hs).ok
-    bounds = [bound for _, _, bound, _ in coefficient_products]
-    assert set(bounds[:in_series]) == {hs.poch_a.q_order} and set(bounds[in_series:]) == {36}
+    work = hs.series_work.q_order
+    assert {bound for _, _, bound, _ in coefficient_products[:in_series]} == {work}
+    in_check = coefficient_products[in_series:]
+    assert {bound for _, _, bound, solve in in_check if solve} == {work}  # the two products
+    assert {bound for _, _, bound, solve in in_check if not solve} == {36}  # the final product
     assert check_fphi(homfly_series(circles(3), 2, 4)).ok
     settled.clear()
     assert check_fphi(homfly_series(circles(3), 4, 24)).ok
@@ -476,7 +480,8 @@ def test_every_operation_keeps_terms_clean():
 
 
 def test_pochhammer_inf_unknot_frozen():
-    p = homfly_series(builtin("unknot"), 2, 8).poch_a.retruncate(8)
+    hs = homfly_series(builtin("unknot"), 2, 8)
+    p = moyeval.homfly._poch_inf(hs.cycle_algebra, 2, -2, 2, hs.series_work.q_order).retruncate(8)
     assert dict(p.coefficient((0,)).terms) == {(0, 0): 1}
     assert dict(p.coefficient((1,)).terms) == {(2, -2): 1, (6, -2): 1}
     assert dict(p.coefficient((2,)).terms) == {(8, -4): 1}
@@ -485,7 +490,8 @@ def test_pochhammer_inf_unknot_frozen():
 def test_pochhammer_inf_b_exponent_signs():
     for name in ("unknot", "theta"):
         hs = homfly_series(builtin(name), 3, 8)
-        for series, sign in ((hs.poch_a, -1), (hs.poch_ainv, 1)):
+        for e_b, sign in ((-2, -1), (2, 1)):
+            series = moyeval.homfly._poch_inf(hs.cycle_algebra, 2, e_b, 3, hs.series_work.q_order)
             for coeff in series.element.terms.values():
                 assert all(sign * b >= 0 for _, b in coeff.terms)
 
@@ -687,21 +693,26 @@ def reference_quotient(ca, x_degree, q_order, linear=_mul_linear):
 
 
 def test_series_matches_the_uncapped_reference_pipeline(monkeypatch):
-    # every product of homfly_series replaced: the two infinite products by
+    # every solve replaced, check_fphi's included: the infinite products by
     # the twist factors multiplied out against explicit linear elements, and
     # G by the reference quotient instead of its own q-difference solve
-    def reference_assemble(ca, x_degree, work):
-        poch_a, poch_ainv = (factor_product(ca, 2, e_b, x_degree, work, linear_by_product)
-                             for e_b in (-2, 2))
-        return poch_a, poch_ainv, reference_quotient(ca, x_degree, work, linear_by_product)
+    def reference_poch_inf(ca, e_v, e_b, x_degree, work):
+        return factor_product(ca, e_v, e_b, x_degree, work, linear_by_product)
+
+    def reference_poch_quotient(ca, x_degree, work):
+        return reference_quotient(ca, x_degree, work, linear_by_product)
 
     cases = [("unknot", x, 12) for x in range(5)] + [("theta", x, 8) for x in range(5)]
     for name, x_degree, q_order in cases:
         hs = homfly_series(builtin(name), x_degree, q_order)
+        report = check_fphi(hs)
         with monkeypatch.context() as m:
             m.setattr(TruncatedTorusSeries, "__mul__", uncapped_product)
-            m.setattr(moyeval.homfly, "_assemble", reference_assemble)
+            m.setattr(moyeval.homfly, "_poch_inf", reference_poch_inf)
+            m.setattr(moyeval.homfly, "_poch_quotient", reference_poch_quotient)
+            m.setattr(moyeval.homfly, "_solve_twisted", None)  # no solve is left
             reference = homfly_series(builtin(name), x_degree, q_order)
+            assert report.ok and check_fphi(reference) == report, (name, x_degree)
         assert hs.table == reference.table, (name, x_degree)
         assert hs.series == reference.series, (name, x_degree)
 
@@ -797,7 +808,7 @@ def test_defining_equation_residual_vanishes():
         assert report.name == "defining-equation"
         assert report.ok, report.detail
         assert f"x-degree <= {x_degree}" in report.detail
-        work = homfly_series(builtin(name), x_degree, 8).poch_a.q_order
+        work = homfly_series(builtin(name), x_degree, 8).series_work.q_order
         assert f"monomials compared at internal bound {work} (headroom {work - 8} over 8)" \
             in report.detail
 
@@ -820,8 +831,10 @@ def test_defining_equation_checks_the_kept_series():
     assert report.detail.startswith("residual has ")
 
 
-def test_products_are_built_once_per_series_and_check(monkeypatch):
-    # two infinite products and G, each one solve
+def test_products_are_built_once_per_series_and_check(monkeypatch, tmp_path):
+    # homfly_series solves G alone; check_fphi solves the two infinite
+    # products it compares with G, and check_shift its own G, two products
+    # and two reindexed products, each one solve
     calls = []
     original = moyeval.homfly._solve_twisted
 
@@ -831,8 +844,22 @@ def test_products_are_built_once_per_series_and_check(monkeypatch):
 
     monkeypatch.setattr(moyeval.homfly, "_solve_twisted", counting)
     hs = homfly_series(builtin("theta"), 2, 8)
+    assert len(calls) == 1
     assert check_fphi(hs).ok
     assert len(calls) == 3
+    assert check_shift(hs).ok
+    assert len(calls) == 8
+    # the benchmark's homfly jobs: 3 solves with --check, 8 with both checks
+    jobs = [(builtin("theta"), ("--max-x-degree", "5", "--q-order", "36", "--check"), 3),
+            (thetas(2), ("--max-x-degree", "2", "--q-order", "20",
+                         "--check", "--check-shift", "--specialize", "2"), 8),
+            (circles(3), ("--max-x-degree", "4", "--q-order", "24", "--check"), 3)]
+    for d, options, solves in jobs:
+        path = tmp_path / "diagram.json"
+        path.write_text(serialize_diagram(d))
+        calls.clear()
+        assert main(["homfly", str(path), *options]) == 0
+        assert len(calls) == solves, options
 
 
 def test_shift_property_holds():
