@@ -11,7 +11,22 @@ edges in three independent ways and cross-checks them:
 
 All arithmetic is exact over the integers, in the fourth-root variables
 ``v**4 == q`` and ``b**4 == a``.
+
+The HOMFLY layer loads on first use.  Only ``homfly_series`` and its
+checks (the CLI's ``homfly`` and ``check --suite homfly``) run it, and a
+process without a bytecode cache compiles every module it imports, so an
+eager import would make every other command compile it for nothing.
+:mod:`moyeval.homfly` is registered in ``sys.modules`` as a lazy module
+(``importlib.util.LazyLoader``) that runs its source on the first read of
+one of its attributes, so code that imports it or looks it up there finds
+it as before.  The package's HOMFLY names (``_HOMFLY_NAMES``) resolve
+through the module ``__getattr__`` (PEP 562): ``from moyeval import
+homfly_series`` and ``from moyeval import *`` load it then.  Every other
+name is bound when the package is imported.
 """
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 from .cycles import Component, Cycle, CycleSet, elementary_circuits, pairing_doubled, rotation_of_loop
 from .diagram import (
@@ -30,17 +45,6 @@ from .diagram import (
     validate_coloring,
 )
 from .genseries import classical_series, generating_series_N, pochhammer_N
-from .homfly import (
-    CheckReport,
-    HomflySeries,
-    SpecializedCoefficient,
-    TruncatedTorusSeries,
-    check_fphi,
-    check_shift,
-    homfly_series,
-    specialization_check,
-    specialize_to_N,
-)
 from .qexact import (
     ExactDivisionError,
     QLaurent,
@@ -60,6 +64,45 @@ from .statesum import (
     moy_eval,
     moy_eval_alt,
 )
+
+
+def _lazy_submodule(name: str):
+    """Register the submodule ``name`` unrun; its first attribute read runs it."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+homfly = _lazy_submodule("homfly")
+
+# the names of moyeval.homfly exported here, resolved by __getattr__
+_HOMFLY_NAMES = (
+    "CheckReport",
+    "HomflySeries",
+    "SpecializedCoefficient",
+    "TruncatedTorusSeries",
+    "check_fphi",
+    "check_shift",
+    "homfly_series",
+    "specialization_check",
+    "specialize_to_N",
+)
+
+
+def __getattr__(name: str):
+    # Read from the module each time, not cached here, so the package always
+    # hands out what moyeval.homfly holds.
+    if name in _HOMFLY_NAMES:
+        return getattr(homfly, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(_HOMFLY_NAMES))
+
 
 __version__ = "0.1.0"
 
@@ -112,14 +155,6 @@ __all__ = [
     "classical_series",
     "generating_series_N",
     "pochhammer_N",
-    # homfly
-    "CheckReport",
-    "HomflySeries",
-    "SpecializedCoefficient",
-    "TruncatedTorusSeries",
-    "check_fphi",
-    "check_shift",
-    "homfly_series",
-    "specialization_check",
-    "specialize_to_N",
+    # homfly, resolved on first use
+    *_HOMFLY_NAMES,
 ]

@@ -14,6 +14,9 @@ All output is deterministic: tables are sorted by coloring, polynomials by
 descending exponent.  With ``--format json`` stdout carries exactly one
 JSON document; the lines of any requested check go to stderr instead, and
 the exit codes stay the same.
+
+The HOMFLY layer is imported inside the two commands that run it
+(``homfly`` and ``check --suite homfly``), so no other command loads it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from functools import cache
 from math import gcd
 from operator import sub
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .cycles import CycleSet
 from .diagram import (
@@ -37,16 +41,12 @@ from .diagram import (
     serialize_diagram,
 )
 from .genseries import classical_series, generating_series_N
-from .homfly import (
-    CheckReport,
-    check_fphi,
-    check_shift,
-    homfly_series,
-    specialization_check,
-)
 from .qexact import QLaurent, TruncatedRSeries
 from .qtorus import CycleAlgebra
 from .statesum import eval_table, eval_table_alt, moy_eval
+
+if TYPE_CHECKING:
+    from .homfly import CheckReport
 
 __all__ = ["main", "format_qlaurent", "format_rseries", "format_coloring", "parse_coloring_spec"]
 
@@ -304,12 +304,17 @@ def _report_table_check(table: dict, reference: dict, left: str, right: str, fil
     return 0
 
 
+def _report_line(ok: bool, name: str, detail: str, pad: str = "", file=None) -> None:
+    """Print one check's ``ok:``/``FAIL:`` line."""
+    detail = f" ({detail})" if detail else ""
+    print(f"{pad}{'ok' if ok else 'FAIL'}: {name}{detail}", file=file)
+
+
 def _print_reports(reports: list[CheckReport], file=None) -> int:
     """Print each report and, indented below it, its sub-reports; 3 if any failed."""
 
     def show(report: CheckReport, pad: str) -> None:
-        detail = f" ({report.detail})" if report.detail else ""
-        print(f"{pad}{'ok' if report.ok else 'FAIL'}: {report.name}{detail}", file=file)
+        _report_line(report.ok, report.name, report.detail, pad, file)
         for sub in report.sub:
             show(sub, pad + "  ")
 
@@ -352,6 +357,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_homfly(args) -> int:
+    from .homfly import check_fphi, check_shift, homfly_series, specialization_check
+
     d = _load_diagram(args.diagram)
     hs = homfly_series(d, args.max_x_degree, args.q_order)
     _write_table(args, hs.table, format_rseries, _rseries_json,
@@ -387,6 +394,8 @@ def _cmd_check(args) -> int:
     d = _load_diagram(args.diagram)
     n = args.n
     if args.suite == "homfly":
+        from .homfly import check_fphi, check_shift, homfly_series, specialization_check
+
         hs = homfly_series(d, args.max_x_degree, args.q_order)
         return _print_reports([check_fphi(hs), check_shift(hs), specialization_check(hs, n)])
     cs = CycleSet(d)  # both routes of every other suite share it
@@ -403,7 +412,8 @@ def _cmd_check(args) -> int:
         detail = f"both vertex-weight forms at level {n}"
     else:  # mu
         ok, detail = _check_mu(CycleAlgebra(d, cs))
-    return _print_reports([CheckReport(args.suite, ok, detail)])
+    _report_line(ok, args.suite, detail)
+    return 0 if ok else 3
 
 
 # --------------------------------------------------------------------------

@@ -34,10 +34,16 @@ with the roles swapped, and subtracting gives, exactly,
 So ``CycleSet`` computes ``pairing_doubled`` once per ordered pair of
 circuits and adds each cycle's row of the matrix from the rows of that
 table (free circles hold no flag and add zero rows).
+
+A ``CycleSet`` enumerates only the circuits when it is made, and builds
+the unions on the first read of ``cycles``: the state sum reads the
+circuits alone (it builds each connected component's unions itself), so
+it never pays for the whole diagram's 3^K cycles of K disjoint thetas.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -245,14 +251,20 @@ class CycleSet:
     """The cycles of a diagram in canonical order, with pairing data.
 
     ``circuits`` holds the diagram's circuits, enumerated once and sorted by
-    ``Component.sort_key``.  The cycles are built from them, and the pairing
-    rows and ``is_positive`` read them instead of the cycles' components.
+    ``Component.sort_key``.  The cycles are built from them on the first
+    read of ``cycles`` (and of ``len`` or iteration), and kept; the pairing
+    rows and ``is_positive`` read the circuits instead of the cycles'
+    components.
     """
 
     def __init__(self, d: PlanarDiagram):
         self.diagram = d
         self.circuits = tuple(elementary_circuits(d))
-        self.cycles = _unions(self.circuits)
+
+    @cached_property
+    def cycles(self) -> tuple[Cycle, ...]:
+        """Every union of vertex-disjoint circuits, in canonical order."""
+        return _unions(self.circuits)
 
     def pairing_rows(self) -> Iterator[list[int]]:
         """The rows of the doubled pairing matrix in cycle order, each built

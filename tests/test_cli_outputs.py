@@ -18,11 +18,15 @@ module as a script: ``PYTHONPATH=src python tests/test_cli_outputs.py``.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
 import pytest
 
+import moyeval
 from moyeval.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_outputs.json")
@@ -66,8 +70,12 @@ COMMANDS += [
 COMMANDS += [("check", SPLIT, "--suite", suite) for suite in ("weights", "counts", "series")]
 
 
+def _resolved(argv) -> list[str]:
+    return [str(GOLDEN.with_name(arg)) if arg == SPLIT else arg for arg in argv]
+
+
 def run(argv) -> dict:
-    argv = [str(GOLDEN.with_name(arg)) if arg == SPLIT else arg for arg in argv]
+    argv = _resolved(argv)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
@@ -87,6 +95,45 @@ def test_every_command_is_recorded():
 def test_output_is_unchanged(argv):
     expected = _recorded()[" ".join(argv)]
     assert run(argv) == {key: expected[key] for key in ("exit", "stdout", "stderr")}
+
+
+# Runs each argv of the JSON list in argv[1] through main in this fresh
+# interpreter and prints, per command, its output and whether homfly.py has
+# run by then.  The namespace is read with object.__getattribute__, which
+# does not start the lazy module's load.
+_FRESH = """
+import contextlib, io, json, sys
+from moyeval.cli import main
+
+rows = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    module = sys.modules.get("moyeval.homfly")
+    ran = module is not None and "homfly_series" in object.__getattribute__(module, "__dict__")
+    rows.append({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "homfly_ran": ran})
+print(json.dumps(rows))
+"""
+
+
+def test_only_the_homfly_commands_run_homfly_py():
+    # in-process tests cannot see this: earlier tests have run homfly.py
+    others = [argv for argv in COMMANDS if argv[0] != "homfly" and "homfly" not in argv]
+    others.append(("cycles", "theta"))
+    homfly = [("homfly", "theta", *SMALL_BOUNDS, *HOMFLY_CHECKS), ("check", "theta", "--suite", "homfly")]
+    argvs = others + homfly
+    src = str(Path(moyeval.__file__).parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", _FRESH, json.dumps([_resolved(a) for a in argvs])],
+                          capture_output=True, text=True, check=True, env=env, timeout=120)
+    rows = json.loads(done.stdout)
+    assert [row.pop("homfly_ran") for row in rows] == [False] * len(others) + [True] * len(homfly)
+    recorded = _recorded()
+    for argv, row in zip(argvs, rows):
+        expected = recorded.get(" ".join(argv), {"exit": 0, "stdout": row["stdout"], "stderr": ""})
+        assert row == {key: expected[key] for key in ("exit", "stdout", "stderr")}, argv
 
 
 if __name__ == "__main__":

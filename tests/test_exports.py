@@ -1,10 +1,13 @@
 """Every exported name resolves, in the package and in each submodule,
-every imported name is used, every private name has a caller, every
-exported function or class has a reader besides the unit tests, and the
-package imports nothing outside the standard library."""
+to its defining submodule's object, every imported name is used, every
+private name has a caller, every exported function or class has a reader
+besides the unit tests, the package imports nothing outside the standard
+library, and the README's library example runs."""
 
 import ast
+import contextlib
 import importlib
+import io
 import pkgutil
 import sys
 from pathlib import Path
@@ -21,6 +24,39 @@ def test_every_exported_name_resolves():
     for module in MODULES:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def _defining_module(name):
+    """The one submodule whose ``__all__`` lists ``name``."""
+    owners = [module for module in MODULES[1:] if name in module.__all__]
+    assert len(owners) == 1, (name, [module.__name__ for module in owners])
+    return owners[0]
+
+
+def test_package_names_are_the_objects_of_their_submodules():
+    # the HOMFLY names resolve through the package's __getattr__: a name read
+    # from the wrong module, or one its table lacks, fails here
+    for name in moyeval.__all__:
+        if name != "__version__":
+            assert getattr(moyeval, name) is getattr(_defining_module(name), name), name
+    assert set(moyeval.homfly.__all__) <= set(moyeval.__all__)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from moyeval import *", namespace)
+    assert [name for name in moyeval.__all__ if namespace.get(name) is not getattr(moyeval, name)] == []
+
+
+def test_the_readme_library_example_runs():
+    # it imports the HOMFLY names from the package root
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "homfly_series" in example
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(example, {})
+    assert out.getvalue().splitlines()[0] == "QLaurent({-2: 1, 2: 1})"
 
 
 def test_every_imported_name_is_used():

@@ -327,6 +327,28 @@ def test_the_state_sum_computes_no_pairing(monkeypatch):
     assert len(calls) == len(elementary_circuits(d)) ** 2
 
 
+def _circles(k):
+    """``k`` counterclockwise unit circles side by side."""
+    return PlanarDiagram(circles=[Circle(i, (4 * i, 0), 1, "ccw") for i in range(k)])
+
+
+@pytest.mark.parametrize(
+    "d", [_circles(3), parse_diagram(TWO_THETAS), builtin("tetrahedron")], ids=["circles", "thetas", "tetrahedron"]
+)
+def test_the_state_sum_leaves_the_unions_unbuilt(d):
+    # eval_table and moy_eval read a CycleSet's circuits only; its
+    # whole-diagram unions are built on the first read of ``cycles``
+    for n in (2, 3):
+        cs = CycleSet(d)
+        table = eval_table(d, n, cycle_set=cs)
+        values = {coloring: moy_eval(d, coloring, n, cycle_set=cs) for coloring in table}
+        assert "cycles" not in vars(cs)
+        assert values == table == eval_table_alt(d, n, cycle_set=cs), n
+        assert "cycles" in vars(cs) and cs.cycles is cs.cycles
+        for coloring, value in table.items():
+            assert moy_eval_alt(d, coloring, n, cycle_set=cs) == value
+
+
 def test_internal_routes_validate_no_coloring(monkeypatch):
     # internal colorings come from the diagram's slot decoder; only input
     # from outside goes through the validating constructor
