@@ -12,6 +12,11 @@ edges in three independent ways and cross-checks them:
 All arithmetic is exact over the integers, in the fourth-root variables
 ``v**4 == q`` and ``b**4 == a``.
 
+Each public name is listed once, in the ``__all__`` of the submodule that
+defines it.  The package star-imports each eagerly loaded submodule and
+splices its ``__all__`` into its own, so a name added there is exported
+here with no further edit.
+
 The HOMFLY layer loads on first use.  Only ``homfly_series`` and its
 checks (the CLI's ``homfly`` and ``check --suite homfly``) run it, and a
 process without a bytecode cache compiles every module it imports, so an
@@ -19,55 +24,27 @@ eager import would make every other command compile it for nothing.
 :mod:`moyeval.homfly` is registered in ``sys.modules`` as a lazy module
 (``importlib.util.LazyLoader``) that runs its source on the first read of
 one of its attributes, so code that imports it or looks it up there finds
-it as before.  The package's HOMFLY names (``_HOMFLY_NAMES``) resolve
-through the module ``__getattr__`` (PEP 562): ``from moyeval import
-homfly_series`` and ``from moyeval import *`` load it then.  Every other
-name is bound when the package is imported.
+it as before.  Reading its ``__all__`` would run it too, so its exported
+names are the one list restated here (``_HOMFLY_NAMES``; a test keeps it
+equal to ``homfly.__all__``).  They resolve through the module
+``__getattr__`` (PEP 562): ``from moyeval import homfly_series`` and
+``from moyeval import *`` load it then.
 """
 
-import sys
-from importlib.util import LazyLoader, find_spec, module_from_spec
-
-from .cycles import Component, Cycle, CycleSet, elementary_circuits, pairing_doubled, rotation_of_loop
-from .diagram import (
-    Circle,
-    Coloring,
-    DiagramError,
-    Edge,
-    Flag,
-    FlowViolation,
-    PlanarDiagram,
-    Vertex,
-    builtin,
-    builtin_names,
-    parse_diagram,
-    serialize_diagram,
-    validate_coloring,
-)
-from .genseries import classical_series, generating_series_N, pochhammer_N
-from .qexact import (
-    ExactDivisionError,
-    QLaurent,
-    TruncatedRSeries,
-    exact_div,
-    qbinom,
-    qfact,
-    qint,
-    qmultinom,
-)
-from .qtorus import CycleAlgebra, FlagAlgebra, TorusElement, TorusSignature, torus_mul
-from .statesum import (
-    classical_eval,
-    doubled_labels,
-    eval_table,
-    eval_table_alt,
-    moy_eval,
-    moy_eval_alt,
-)
+from . import cycles, diagram, genseries, qexact, qtorus, statesum
+from .cycles import *
+from .diagram import *
+from .genseries import *
+from .qexact import *
+from .qtorus import *
+from .statesum import *
 
 
 def _lazy_submodule(name: str):
     """Register the submodule ``name`` unrun; its first attribute read runs it."""
+    import sys
+    from importlib.util import LazyLoader, find_spec, module_from_spec
+
     spec = find_spec(f"{__name__}.{name}")
     spec.loader = LazyLoader(spec.loader)
     module = module_from_spec(spec)
@@ -108,53 +85,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # diagram
-    "Circle",
-    "Coloring",
-    "DiagramError",
-    "Edge",
-    "Flag",
-    "FlowViolation",
-    "PlanarDiagram",
-    "Vertex",
-    "builtin",
-    "builtin_names",
-    "parse_diagram",
-    "serialize_diagram",
-    "validate_coloring",
-    # cycles
-    "Component",
-    "Cycle",
-    "CycleSet",
-    "elementary_circuits",
-    "pairing_doubled",
-    "rotation_of_loop",
-    # exact rings
-    "ExactDivisionError",
-    "QLaurent",
-    "TruncatedRSeries",
-    "exact_div",
-    "qbinom",
-    "qfact",
-    "qint",
-    "qmultinom",
-    # quantum torus
-    "CycleAlgebra",
-    "FlagAlgebra",
-    "TorusElement",
-    "TorusSignature",
-    "torus_mul",
-    # state sum
-    "classical_eval",
-    "doubled_labels",
-    "eval_table",
-    "eval_table_alt",
-    "moy_eval",
-    "moy_eval_alt",
-    # generating series
-    "classical_series",
-    "generating_series_N",
-    "pochhammer_N",
-    # homfly, resolved on first use
+    *cycles.__all__,
+    *diagram.__all__,
+    *genseries.__all__,
+    *qexact.__all__,
+    *qtorus.__all__,
+    *statesum.__all__,
     *_HOMFLY_NAMES,
 ]

@@ -15,8 +15,9 @@ descending exponent.  With ``--format json`` stdout carries exactly one
 JSON document; the lines of any requested check go to stderr instead, and
 the exit codes stay the same.
 
-The HOMFLY layer is imported inside the two commands that run it
-(``homfly`` and ``check --suite homfly``), so no other command loads it.
+:mod:`moyeval.homfly` is the package's lazy module: importing it runs
+nothing, and only the two commands that read its names (``homfly`` and
+``check --suite homfly``) run it, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from functools import cache
 from math import gcd
 from operator import sub
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from . import homfly
 from .cycles import CycleSet
 from .diagram import (
     Coloring,
@@ -45,10 +46,7 @@ from .qexact import QLaurent, TruncatedRSeries
 from .qtorus import CycleAlgebra
 from .statesum import eval_table, eval_table_alt, moy_eval
 
-if TYPE_CHECKING:
-    from .homfly import CheckReport
-
-__all__ = ["main", "format_qlaurent", "format_rseries", "format_coloring", "parse_coloring_spec"]
+__all__ = ["main", "format_qlaurent", "format_rseries", "parse_coloring_spec"]
 
 
 # --------------------------------------------------------------------------
@@ -310,10 +308,10 @@ def _report_line(ok: bool, name: str, detail: str, pad: str = "", file=None) -> 
     print(f"{pad}{'ok' if ok else 'FAIL'}: {name}{detail}", file=file)
 
 
-def _print_reports(reports: list[CheckReport], file=None) -> int:
+def _print_reports(reports: list[homfly.CheckReport], file=None) -> int:
     """Print each report and, indented below it, its sub-reports; 3 if any failed."""
 
-    def show(report: CheckReport, pad: str) -> None:
+    def show(report: homfly.CheckReport, pad: str) -> None:
         _report_line(report.ok, report.name, report.detail, pad, file)
         for sub in report.sub:
             show(sub, pad + "  ")
@@ -357,19 +355,17 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_homfly(args) -> int:
-    from .homfly import check_fphi, check_shift, homfly_series, specialization_check
-
     d = _load_diagram(args.diagram)
-    hs = homfly_series(d, args.max_x_degree, args.q_order)
+    hs = homfly.homfly_series(d, args.max_x_degree, args.q_order)
     _write_table(args, hs.table, format_rseries, _rseries_json,
                  x_degree=hs.x_degree, q_order=hs.q_order)
     reports = []
     if args.check:
-        reports.append(check_fphi(hs))
+        reports.append(homfly.check_fphi(hs))
     if args.check_shift:
-        reports.append(check_shift(hs))
+        reports.append(homfly.check_shift(hs))
     if args.specialize is not None:
-        reports.append(specialization_check(hs, args.specialize))
+        reports.append(homfly.specialization_check(hs, args.specialize))
     return _print_reports(reports, _check_file(args))
 
 
@@ -394,10 +390,8 @@ def _cmd_check(args) -> int:
     d = _load_diagram(args.diagram)
     n = args.n
     if args.suite == "homfly":
-        from .homfly import check_fphi, check_shift, homfly_series, specialization_check
-
-        hs = homfly_series(d, args.max_x_degree, args.q_order)
-        return _print_reports([check_fphi(hs), check_shift(hs), specialization_check(hs, n)])
+        hs = homfly.homfly_series(d, args.max_x_degree, args.q_order)
+        return _print_reports([homfly.check_fphi(hs), homfly.check_shift(hs), homfly.specialization_check(hs, n)])
     cs = CycleSet(d)  # both routes of every other suite share it
     if args.suite == "counts":
         table = classical_series(d, n, cycle_set=cs)

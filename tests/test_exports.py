@@ -1,8 +1,9 @@
 """Every exported name resolves, in the package and in each submodule,
-to its defining submodule's object, every imported name is used, every
-private name has a caller, every exported function or class has a reader
-besides the unit tests, the package imports nothing outside the standard
-library, and the README's library example runs."""
+to its defining submodule's object, the package exports exactly its
+submodules' lists and leaks no other public name, every imported name is
+used, every private name has a caller, every exported function or class
+has a reader besides the unit tests, the package imports nothing outside
+the standard library, and the README's library example runs."""
 
 import ast
 import contextlib
@@ -10,13 +11,15 @@ import importlib
 import io
 import pkgutil
 import sys
+from importlib.util import resolve_name
 from pathlib import Path
 
 import moyeval
 
-MODULES = [moyeval] + [
-    importlib.import_module(f"moyeval.{info.name}") for info in pkgutil.iter_modules(moyeval.__path__)
-]
+SUBMODULE_NAMES = [info.name for info in pkgutil.iter_modules(moyeval.__path__)]
+MODULES = [moyeval] + [importlib.import_module(f"moyeval.{name}") for name in SUBMODULE_NAMES]
+# the submodules the package star-imports; homfly loads on first use
+EAGER = [moyeval.cycles, moyeval.diagram, moyeval.genseries, moyeval.qexact, moyeval.qtorus, moyeval.statesum]
 
 
 def test_every_exported_name_resolves():
@@ -35,11 +38,29 @@ def _defining_module(name):
 
 def test_package_names_are_the_objects_of_their_submodules():
     # the HOMFLY names resolve through the package's __getattr__: a name read
-    # from the wrong module, or one its table lacks, fails here
+    # from the wrong module fails here
     for name in moyeval.__all__:
         if name != "__version__":
             assert getattr(moyeval, name) is getattr(_defining_module(name), name), name
-    assert set(moyeval.homfly.__all__) <= set(moyeval.__all__)
+
+
+def test_the_package_exports_exactly_its_submodules_lists():
+    # a name in two eager lists would be bound by whichever import runs last
+    for i, first in enumerate(EAGER):
+        for second in EAGER[i + 1:]:
+            shared = set(first.__all__) & set(second.__all__)
+            assert not shared, (first.__name__, second.__name__, sorted(shared))
+    assert len(moyeval.__all__) == len(set(moyeval.__all__))
+    expected = {"__version__", *moyeval._HOMFLY_NAMES}.union(*(module.__all__ for module in EAGER))
+    assert set(moyeval.__all__) == expected
+    # the one list the package restates: reading homfly.__all__ there would run homfly.py
+    assert set(moyeval._HOMFLY_NAMES) == set(moyeval.homfly.__all__)
+
+
+def test_the_package_namespace_holds_only_exported_names_and_submodules():
+    leaked = [name for name in dir(moyeval)
+              if not name.startswith("_") and name not in moyeval.__all__ and name not in SUBMODULE_NAMES]
+    assert leaked == []
 
 
 def test_star_import_binds_every_exported_name():
@@ -60,7 +81,9 @@ def test_the_readme_library_example_runs():
 
 
 def test_every_imported_name_is_used():
-    # a name listed in __all__ counts as used: the module re-exports it
+    # a name listed in __all__ counts as used: the module re-exports it; a
+    # star import brings in each name of its source module's __all__, and
+    # each of them must be used or listed the same way
     for module in MODULES:
         tree = ast.parse(Path(module.__file__).read_text())
         imported = set()
@@ -68,7 +91,12 @@ def test_every_imported_name_is_used():
             if isinstance(node, ast.Import):
                 imported.update((a.asname or a.name).split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                imported.update(a.asname or a.name for a in node.names)
+                for alias in node.names:
+                    if alias.name == "*":
+                        source = resolve_name("." * node.level + (node.module or ""), module.__package__)
+                        imported.update(importlib.import_module(source).__all__)
+                    else:
+                        imported.add(alias.asname or alias.name)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(imported - used - set(module.__all__))
         assert not unused, (module.__name__, unused)
