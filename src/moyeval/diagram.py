@@ -35,7 +35,6 @@ __all__ = [
     "PlanarDiagram",
     "Coloring",
     "format_coloring",
-    "FlowViolation",
     "parse_diagram",
     "serialize_diagram",
     "validate_coloring",
@@ -103,6 +102,12 @@ def _as_point(value) -> Point:
     return (_as_fraction(value[0]), _as_fraction(value[1]))
 
 
+def _as_id(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DiagramError(f"{what} id {value!r} is not an integer")
+    return value
+
+
 def _as_flag(value) -> Flag:
     if isinstance(value, Flag):
         flag = value
@@ -161,8 +166,7 @@ class Coloring:
         items = values.items() if isinstance(values, Mapping) else values
         out = {}
         for key, val in items:
-            if not isinstance(key, int) or isinstance(key, bool):
-                raise DiagramError(f"{what} id {key!r} is not an integer")
+            _as_id(key, what)
             if not isinstance(val, int) or isinstance(val, bool) or val < 0:
                 raise DiagramError(f"{what} {key} has invalid color {val!r}")
             if key in out:
@@ -198,12 +202,6 @@ def format_coloring(coloring: Coloring) -> str:
     if coloring.circles:
         parts.append("circles " + ",".join(f"{k}={v}" for k, v in coloring.circles))
     return " ".join(parts) or "empty"
-
-
-class FlowViolation(NamedTuple):
-    vertex: int
-    side_sum: int  # color(l) + color(r)
-    middle: int  # color(m)
 
 
 # --------------------------------------------------------------------------
@@ -332,19 +330,19 @@ class PlanarDiagram:
     @staticmethod
     def _coerce_vertex(v) -> Vertex:
         if isinstance(v, Vertex):
-            return Vertex(v.id, v.kind, _as_point(v.position))
+            return Vertex(_as_id(v.id, "vertex"), v.kind, _as_point(v.position))
         try:
-            return Vertex(v["id"], v["kind"], _as_point(v["position"]))
+            return Vertex(_as_id(v["id"], "vertex"), v["kind"], _as_point(v["position"]))
         except (KeyError, TypeError) as exc:
             raise DiagramError(f"malformed vertex record {v!r}") from exc
 
     @staticmethod
     def _coerce_edge(e) -> Edge:
         if isinstance(e, Edge):
-            return Edge(e.id, _as_flag(e.tail), _as_flag(e.head), tuple(_as_point(p) for p in e.waypoints))
+            return Edge(_as_id(e.id, "edge"), _as_flag(e.tail), _as_flag(e.head), tuple(_as_point(p) for p in e.waypoints))
         try:
             return Edge(
-                e["id"],
+                _as_id(e["id"], "edge"),
                 _as_flag(e["tail"]),
                 _as_flag(e["head"]),
                 tuple(_as_point(p) for p in e.get("waypoints", ())),
@@ -355,9 +353,9 @@ class PlanarDiagram:
     @staticmethod
     def _coerce_circle(c) -> Circle:
         if isinstance(c, Circle):
-            return Circle(c.id, _as_point(c.center), _as_fraction(c.radius), c.orientation)
+            return Circle(_as_id(c.id, "circle"), _as_point(c.center), _as_fraction(c.radius), c.orientation)
         try:
-            return Circle(c["id"], _as_point(c["center"]), _as_fraction(c["radius"]), c["orientation"])
+            return Circle(_as_id(c["id"], "circle"), _as_point(c["center"]), _as_fraction(c["radius"]), c["orientation"])
         except (KeyError, TypeError) as exc:
             raise DiagramError(f"malformed circle record {c!r}") from exc
 
@@ -400,8 +398,6 @@ class PlanarDiagram:
         for collection, what in ((self.vertices, "vertex"), (self.edges, "edge"), (self.circles, "circle")):
             seen = set()
             for item in collection:
-                if not isinstance(item.id, int) or isinstance(item.id, bool):
-                    raise DiagramError(f"{what} id {item.id!r} is not an integer")
                 if item.id in seen:
                     raise DiagramError(f"duplicate {what} id {item.id}")
                 seen.add(item.id)
@@ -522,12 +518,12 @@ class PlanarDiagram:
         )
 
 
-def validate_coloring(d: PlanarDiagram, coloring: Coloring) -> list[FlowViolation]:
+def validate_coloring(d: PlanarDiagram, coloring: Coloring) -> None:
     """Check flow conservation of a coloring at every vertex.
 
     At each vertex the colors of the edges at flags ``l`` and ``r`` must sum
-    to the color of the edge at flag ``m``.  Unknown edge or circle ids in
-    the coloring raise ``DiagramError``.
+    to the color of the edge at flag ``m``.  Violations, and unknown edge or
+    circle ids in the coloring, raise ``DiagramError``.
     """
     colors = dict(coloring.edges)
     for edge_id in colors:
@@ -538,12 +534,11 @@ def validate_coloring(d: PlanarDiagram, coloring: Coloring) -> list[FlowViolatio
             raise DiagramError(f"coloring mentions missing circle {circle_id}")
     violations = []
     for v in d.vertices:
-        values = {}
-        for role in ROLES:
-            values[role] = colors.get(d.edge_at(Flag(v.id, role)).id, 0)
-        if values["l"] + values["r"] != values["m"]:
-            violations.append(FlowViolation(v.id, values["l"] + values["r"], values["m"]))
-    return violations
+        l, m, r = (colors.get(d.edge_at(Flag(v.id, role)).id, 0) for role in ROLES)
+        if l + r != m:
+            violations.append(f"vertex {v.id} ({l + r} != {m})")
+    if violations:
+        raise DiagramError(f"coloring violates flow conservation at {', '.join(violations)}")
 
 
 # --------------------------------------------------------------------------

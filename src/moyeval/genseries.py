@@ -39,6 +39,8 @@ def classical_series(d: PlanarDiagram, n: int, *, cycle_set: CycleSet | None = N
     The coefficient of a coloring counts the level-``n`` states realizing
     it, so this table matches the ``q = 1`` state-sum evaluations.
     """
+    if n < 0:
+        raise ValueError("classical series are defined for n >= 0")
     held = [set(d.slots(c.edge_ids, c.circle_ids)) for c in _cycle_set_of(d, cycle_set)]
     base = [[int(i in h) for i in range(d.slot_count)] for h in held]
     table = {(0,) * d.slot_count: 1}
@@ -59,6 +61,8 @@ def pochhammer_N(ca: CycleAlgebra, n: int) -> TorusElement:
     ascending order; coefficients are plain ``QLaurent`` since ``a`` has
     been substituted.
     """
+    if n < 0:
+        raise ValueError("finite twisted products are defined for n >= 0")
     acc = TorusElement(ca.signature, {(): QLaurent.one()})
     for k in range(n):
         acc = _mul_linear(acc, [QLaurent.monomial((2 + 4 * k - 2 * n) * rot) for rot in ca.rots])

@@ -40,9 +40,9 @@ with ``L_0`` its first factor, and ``G`` satisfies its own,
 ``poch(a)`` and ``poch(a^{-1})``.  ``_solve_twisted`` solves both kinds
 one x-degree at a time (``_poch_inf`` and ``_poch_quotient`` call it), so
 the cost follows the terms output, not the number of factors the bound
-lets through.  ``series_invert`` is outside the pipeline (see its
-docstring).  ``check_shift`` still builds its two single linear factors
-with ``_linear_factor``.
+lets through.  ``series_invert``, outside the pipeline, is a fixed
+point of ``_product`` (see its docstring).  ``check_shift`` still builds
+its two single linear factors with ``_linear_factor``.
 
 ``homfly_series`` solves ``G`` alone and keeps it on ``HomflySeries``,
 the series its table came from.  Each check solves the products it
@@ -159,10 +159,6 @@ class TruncatedTorusSeries(_Terms):
         terms = {e: t for e, c in self.terms.items() if (t := c.retruncate(q_order))}
         return TruncatedTorusSeries(self.x_degree, q_order, self.element._like(terms))
 
-    def constant_term(self) -> TruncatedRSeries:
-        found = self.element.terms.get(())
-        return found if found is not None else TruncatedRSeries.zero(self.q_order)
-
     def coefficient(self, exps: Sequence[int]) -> TruncatedRSeries:
         """The coefficient of the monomial with exponent vector ``exps``."""
         found = self.element.terms.get(self.element.signature.key(exps))
@@ -233,9 +229,10 @@ def _headroom(ca: CycleAlgebra, x_degree: int) -> tuple[int, int]:
     equal the true ones wherever ``deg <= W - h``.  Then a product of an
     ``h``- and a ``k``-exact element is ``(h + k)``-exact, a sum is exact
     with the larger ``h``, and ``series_invert`` of a 0-exact unit is
-    0-exact (induction on ``d`` in ``Q_d``).  A linear factor with
-    ``e_v = 2`` is 0-exact, and one with ``e_v = -2`` is ``2R``-exact,
-    ``R`` the largest rotation: its terms have ``deg = e_v rot``.
+    0-exact: each of its passes is a product and a sum of 0-exact
+    elements.  A linear factor with ``e_v = 2`` is 0-exact, and one with
+    ``e_v = -2`` is ``2R``-exact, ``R`` the largest rotation: its terms
+    have ``deg = e_v rot``.
 
     The solve.  ``_poch_inf`` (``_solve_twisted`` with no right factor)
     forms ``p_alpha`` from the ``p_{alpha - t}`` and then divides by
@@ -376,8 +373,7 @@ def _solve_twisted(
     for twisted, coeffs in ((True, left), (False, [-c for c in right])):
         for t, coeff in enumerate(coeffs):
             if coeff:
-                operand = coeff._operand()
-                pushes.append((t, operand[2][0][0], operand, twisted))
+                pushes.append((t, min(v for v, _ in coeff.terms), coeff._operand(), twisted))
     one = TruncatedRSeries.one(q_order)
     level = terms = {(): one} if one else {}  # the solved keys of the degree below
     for _ in range(x_degree):
@@ -430,30 +426,26 @@ def series_invert(s: TruncatedTorusSeries) -> TruncatedTorusSeries:
     ``moyeval.homfly.series_invert`` by name and raises ``LookupError``
     without it, and its unit tests pin it down.
 
-    With ``P_j`` the x-degree-``j`` piece of ``s`` (so ``P_0 = 1``), the
-    inverse is built degree by degree: ``Q_0 = 1`` and
-    ``Q_d = -sum_{j=1..d} Q_{d-j} * P_j``, which forms the pairs of a
-    single capped product ``Q * s``.  So ``Q * s == 1`` holds exactly at
-    the bound.  The v-truncation is no ring quotient (skew shifts can lower
-    v-exponents), so ``s * Q == 1`` is promised only in the grading of
-    ``_headroom``: when every term of ``s`` has ``deg >= 0``, both orders
-    hold at every term of ``deg`` at most the bound, hence at v-exponents
-    up to the bound minus ``max lam`` over x-degree at most ``x_degree``.
+    The inverse is the fixed point of ``Q = 1 - Q * (s - 1)`` under
+    ``_product`` at the bound.  ``s - 1`` has no term of x-degree 0, so
+    each pass fixes one more x-degree of ``Q``, and ``x_degree`` passes
+    reach the bound.  With ``P_j`` the x-degree-``j`` piece of ``s``, the
+    degree-``d`` piece of ``Q * s`` is ``Q_d + sum_{j>=1} Q_{d-j} * P_j``,
+    so the fixed point is the one solution of ``Q * s == 1`` at the bound
+    with constant term 1.  The v-truncation is no ring quotient (skew
+    shifts can lower v-exponents), so ``s * Q == 1`` is promised only in
+    the grading of ``_headroom``: when every term of ``s`` has
+    ``deg >= 0``, both orders hold at every term of ``deg`` at most the
+    bound, hence at v-exponents up to the bound minus ``max lam`` over
+    x-degree at most ``x_degree``.
     """
-    if s.constant_term() != TruncatedRSeries.one(s.q_order):
+    one = s._like({(): TruncatedRSeries.one(s.q_order)})
+    if s.terms.get(()) != one.terms[()]:
         raise ValueError("series is not invertible here: constant term must be exactly 1")
-    pieces = _graded(s)
-    negated = [{key: (-coeff)._operand() for key, coeff in piece.items()} for piece in pieces]
-    inverse = pieces[:1]
-    for d in range(1, s.x_degree + 1):
-        acc: dict = {}
-        for j in range(1, d + 1):
-            _accumulate(acc, s.element.signature, inverse[d - j], negated[j])
-        inverse.append(_settle(acc, s.terms))
-    terms: dict = {}
-    for piece in inverse:
-        terms.update(piece)
-    return s._like(terms)
+    step, inverse = s - one, one
+    for _ in range(s.x_degree):
+        inverse = one - _product(inverse, step, s.q_order)
+    return inverse
 
 
 class HomflySeries(NamedTuple):
@@ -486,6 +478,9 @@ def homfly_series(d: PlanarDiagram, x_degree: int, q_order: int) -> HomflySeries
     term is the true series coefficient.  A diagram that is not positive is
     refused before any of it runs.
     """
+    for name, bound in (("x_degree", x_degree), ("q_order", q_order)):
+        if bound < 0:
+            raise ValueError(f"truncated series are defined for {name} >= 0")
     cycle_set = CycleSet(d)
     if not cycle_set.is_positive:
         raise DiagramError(
@@ -614,6 +609,8 @@ def _specialization_window(hs: HomflySeries, n: int) -> int:
 
 def specialize_to_N(hs: HomflySeries, n: int) -> dict:
     """Set ``a = q**n`` in every table entry, restricted to its safe window."""
+    if n < 0:
+        raise ValueError("specialization is defined for n >= 0")
     window = _specialization_window(hs, n)
     out = {}
     for coloring, coeff in hs.table.items():

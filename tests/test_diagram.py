@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from moyeval.cli import main
 from moyeval.diagram import (
     Circle,
     Coloring,
@@ -132,6 +133,27 @@ def test_duplicate_ids_rejected():
         )
     with pytest.raises(DiagramError, match="circle id '0' is not an integer"):
         PlanarDiagram(circles=[{"id": "0", "center": [0, 0], "radius": 1, "orientation": "ccw"}])
+
+
+@pytest.mark.parametrize("bad", [[0], {"id": 0}, None, "a"], ids=["list", "dict", "null", "str"])
+@pytest.mark.parametrize("field, what, record", [
+    ("vertices", "vertex", Vertex), ("edges", "edge", Edge), ("circles", "circle", Circle)])
+def test_malformed_ids_are_refused(bad, field, what, record, tmp_path, capsys):
+    # each record's id is checked before the records are sorted or indexed
+    # by id, so an unhashable id or one mixed with ints is refused by name
+    data = theta_dict()
+    data["circles"] = [{"id": 0, "center": [5, 0], "radius": 1, "orientation": "ccw"},
+                       {"id": 1, "center": [9, 0], "radius": 1, "orientation": "ccw"}]
+    data[field][-1]["id"] = bad
+    message = f"{what} id {bad!r} is not an integer"
+    records = {**data, field: [record(**r) for r in data[field]]}
+    for given in (data, records):
+        with pytest.raises(DiagramError, match=re.escape(message)):
+            PlanarDiagram(**given)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["cycles", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_bad_kind_orientation_radius():
@@ -589,9 +611,10 @@ def test_slot_decoder_matches_the_constructor():
 
 def test_validate_coloring():
     d = builtin("theta")
-    assert validate_coloring(d, Coloring(edges={0: 2, 1: 1, 2: 1})) == []
-    violations = validate_coloring(d, Coloring(edges={0: 1}))
-    assert {(v.vertex, v.side_sum, v.middle) for v in violations} == {(0, 0, 1), (1, 0, 1)}
+    assert validate_coloring(d, Coloring(edges={0: 2, 1: 1, 2: 1})) is None
+    with pytest.raises(DiagramError) as violated:
+        validate_coloring(d, Coloring(edges={0: 1}))
+    assert str(violated.value) == "coloring violates flow conservation at vertex 0 (0 != 1), vertex 1 (0 != 1)"
     with pytest.raises(DiagramError, match="missing edge 9"):
         validate_coloring(d, Coloring(edges={9: 1}))
     with pytest.raises(DiagramError, match="missing circle 0"):

@@ -2,8 +2,9 @@
 to its defining submodule's object, the package exports exactly its
 submodules' lists and leaks no other public name, every imported name is
 used, every private name has a caller, every exported function or class
-has a reader besides the unit tests, the package imports nothing outside
-the standard library, and the README's library example runs."""
+and every public method has a reader besides the unit tests, the package
+imports nothing outside the standard library, and the README's library
+example runs."""
 
 import ast
 import contextlib
@@ -168,8 +169,9 @@ def test_every_exported_function_and_class_has_a_reader():
     by ``tests/test_acceptance.py``: the package ships no API that only
     unit tests use.
 
-    Methods are not covered: names like ``zero``, ``one`` or ``key`` recur
-    across classes, and a read by name cannot tell them apart.
+    Methods are checked by the next test, by name only: names like
+    ``zero``, ``one`` or ``key`` recur across classes, and a read by name
+    cannot tell them apart.
     """
     trees = {module.__name__: ast.parse(Path(module.__file__).read_text()) for module in MODULES[1:]}
     acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
@@ -177,4 +179,37 @@ def test_every_exported_function_and_class_has_a_reader():
     unread = [(module.__name__, node.name) for module in MODULES[1:] for node in trees[module.__name__].body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in module.__all__
               and not _read_outside(node.name, node, reads)]
+    assert unread == []
+
+
+def test_every_public_method_has_a_reader():
+    """A public method, property or classmethod of a package class is read
+    as an attribute by src code outside its own definition, or by
+    ``tests/test_acceptance.py``.
+
+    Dunders are skipped, and so are overrides of a method that a base class
+    from outside the package defines (``_Parser.error``): their readers
+    live outside the package.  The match is by name alone, so a method that
+    shares its name with a read one passes.
+    """
+    trees = {module.__name__: ast.parse(Path(module.__file__).read_text()) for module in MODULES[1:]}
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    reads = {}
+    for tree in [*trees.values(), acceptance]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                reads.setdefault(node.attr, []).append(node)
+    methods = []
+    for module in MODULES[1:]:
+        for cls_node in trees[module.__name__].body:
+            if not isinstance(cls_node, ast.ClassDef):
+                continue
+            bases = getattr(module, cls_node.name).__mro__[1:]
+            methods += [(module.__name__, cls_node.name, node) for node in cls_node.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and not any(base.__module__.split(".")[0] != "moyeval" and hasattr(base, node.name)
+                                    for base in bases)]
+    assert methods
+    unread = [(module_name, f"{cls_name}.{node.name}") for module_name, cls_name, node in methods
+              if not _read_outside(node.name, node, reads)]
     assert unread == []

@@ -10,7 +10,7 @@ import moyeval.homfly
 import moyeval.qtorus
 from moyeval.cli import main
 from moyeval.diagram import Coloring, DiagramError, builtin, parse_diagram, serialize_diagram
-from moyeval.genseries import pochhammer_N
+from moyeval.genseries import classical_series, generating_series_N, pochhammer_N
 from moyeval.homfly import (
     TruncatedTorusSeries,
     check_fphi,
@@ -22,7 +22,7 @@ from moyeval.homfly import (
 )
 from moyeval.qexact import QLaurent, TruncatedRSeries, qbinom
 from moyeval.qtorus import CycleAlgebra, TorusElement, TorusSignature, _mul_linear, torus_mul
-from moyeval.statesum import eval_table
+from moyeval.statesum import eval_table, eval_table_alt, moy_eval, moy_eval_alt
 from test_chain import chain
 from test_cycles import thetas
 from test_qtorus import fold_image, linear_element
@@ -102,7 +102,7 @@ def test_series_construction_enforces_bounds():
     # terms beyond the x-degree bound are dropped on construction
     s = tts(ca, 1, 8, {(0,): {(0, 0): 1}, (2,): {(0, 0): 5}})
     assert s.coefficient((2,)) == TruncatedRSeries.zero(8)
-    assert s.constant_term() == TruncatedRSeries.one(8)
+    assert s.coefficient((0,)) == TruncatedRSeries.one(8)
 
 
 def test_series_arithmetic_and_bound_mismatches():
@@ -115,7 +115,7 @@ def test_series_arithmetic_and_bound_mismatches():
     assert (s * s).coefficient((2,)) == TruncatedRSeries.one(8)
     shifted = TruncatedTorusSeries(2, 8, TorusElement(
         ca.signature, {(): TruncatedRSeries.monomial(8, 2, 0)}))
-    assert shifted.constant_term() == TruncatedRSeries(8, {(2, 0): 1})
+    assert shifted.coefficient((0,)) == TruncatedRSeries(8, {(2, 0): 1})
     with pytest.raises(ValueError, match="x-degree bound mismatch"):
         one * TruncatedTorusSeries.one(ca, 3, 8)
     with pytest.raises(ValueError, match="truncation bound mismatch"):
@@ -440,7 +440,7 @@ def test_every_operation_keeps_terms_clean():
 
     def invert(s):
         # set the constant term to 1, then invert
-        constant = s.constant_term() - TruncatedRSeries.one(q_order)
+        constant = s.coefficient((0,) * k) - TruncatedRSeries.one(q_order)
         return series_invert(s - TruncatedTorusSeries(
             x_degree, q_order, TorusElement(ca.signature, {(): constant})))
 
@@ -893,6 +893,28 @@ def test_specialization_window_cuts_off_when_bound_is_small():
     one_color = Coloring(circles={0: 1})
     assert spec[one_color].window == 0
     assert spec[one_color].value == QLaurent.monomial(-2)  # v^2 lies past the window
+
+
+NEGATIVE_ARGUMENTS = {
+    "eval_table": (lambda d: eval_table(d, -1), "n >= 0"),
+    "eval_table_alt": (lambda d: eval_table_alt(d, -1), "n >= 0"),
+    "moy_eval": (lambda d: moy_eval(d, Coloring(), -1), "n >= 0"),
+    "moy_eval_alt": (lambda d: moy_eval_alt(d, Coloring(), -1), "n >= 0"),
+    "classical_series": (lambda d: classical_series(d, -1), "n >= 0"),
+    "pochhammer_N": (lambda d: pochhammer_N(CycleAlgebra(d), -1), "n >= 0"),
+    "generating_series_N": (lambda d: generating_series_N(d, -1), "n >= 0"),
+    "homfly_series x_degree": (lambda d: homfly_series(d, -1, 4), "x_degree >= 0"),
+    "homfly_series q_order": (lambda d: homfly_series(d, 2, -1), "q_order >= 0"),
+    "specialize_to_N": (lambda d: specialize_to_N(homfly_series(d, 2, 8), -1), "n >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_ARGUMENTS)
+def test_negative_levels_and_bounds_are_refused(name):
+    # a negative level or bound has no meaning: each entry point names it
+    call, message = NEGATIVE_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=message):
+        call(builtin("theta"))
 
 
 def test_specialization_reports_a_value_mismatch(monkeypatch):
