@@ -8,7 +8,8 @@ of the cycle algebra (the empty cycle contributes the constant term 1).
 Twisting by ``k`` multiplies the ``x_C`` coefficient by ``v**(4 k rot C)``.
 The level-``n`` evaluation table of the diagram is recovered as a finite
 twisted product: substitute ``a = q**n``, multiply the twists ``k = 0`` to
-``n - 1`` in ascending order, and read the coefficient of each flow off
+``n - 1`` in ascending order, each a linear factor ``1 + sum_C c_C x_C``
+multiplied in by ``torus_mul``, and read the coefficient of each flow off
 the image of the result (``CycleAlgebra.flow_table``, which sums the
 cycles' color slots where ``mu`` sums their flag variables).  The
 ``q = 1`` shadow of the same structure is a plain convolution power of
@@ -24,7 +25,7 @@ from operator import add
 from .cycles import CycleSet, _cycle_set_of
 from .diagram import Coloring, PlanarDiagram
 from .qexact import QLaurent
-from .qtorus import CycleAlgebra, TorusElement, _mul_linear
+from .qtorus import CycleAlgebra, TorusElement, torus_mul
 
 __all__ = [
     "classical_series",
@@ -58,14 +59,16 @@ def pochhammer_N(ca: CycleAlgebra, n: int) -> TorusElement:
     """The finite twisted product at level ``n``, with ``a = q**n`` applied.
 
     Multiplies the twists ``k = 0, ..., n-1`` of the cycle polynomial in
-    ascending order; coefficients are plain ``QLaurent`` since ``a`` has
-    been substituted.
+    ascending order, each built as the element ``1 + sum_t c_t x_t`` and
+    multiplied in by ``torus_mul``, the kernel every torus product runs;
+    coefficients are plain ``QLaurent`` since ``a`` has been substituted.
     """
     if n < 0:
         raise ValueError("finite twisted products are defined for n >= 0")
     acc = TorusElement(ca.signature, {(): QLaurent.one()})
     for k in range(n):
-        acc = _mul_linear(acc, [QLaurent.monomial((2 + 4 * k - 2 * n) * rot) for rot in ca.rots])
+        twist = {(t,): QLaurent.monomial((2 + 4 * k - 2 * n) * rot) for t, rot in enumerate(ca.rots)}
+        acc = torus_mul(acc, TorusElement(ca.signature, {(): QLaurent.one(), **twist}))
     return acc
 
 

@@ -42,16 +42,13 @@ zero entries from those same maps, wraps each with ``_like`` and drops
 the monomials left empty.  The right-hand coefficients go in as the
 ring's operands, made once per product (for truncated series, terms
 sorted by v-exponent, so each coefficient product stops at its bound).
-``torus_mul`` is that loop on two elements; the graded series products
-of :mod:`moyeval.homfly` feed all their degree pairs into one
-accumulator.  ``_mul_linear`` multiplies by a linear factor
-``1 + sum_t c_t x_t``, the factor of the finite twisted products of
-:mod:`moyeval.genseries`, without building it: moving ``x_t`` past a key
-costs the skew of the key's entries above ``t``, summed over those
-entries as in ``_mul_exps``, and ``x_t`` lands in its sorted place.  It
-makes operands for the nonzero ``c_t`` only, once per factor.  (The
-infinite products of :mod:`moyeval.homfly` are not multiplied out factor
-by factor: they are solved from their q-difference equation.)
+``torus_mul`` is that loop on two elements; it also multiplies the
+finite twisted products of :mod:`moyeval.genseries` by their linear
+factors ``1 + sum_t c_t x_t``, so one kernel serves every product.  The
+graded series products of :mod:`moyeval.homfly` feed all their degree
+pairs into one accumulator.  (The infinite products of
+:mod:`moyeval.homfly` are not multiplied out factor by factor: they are
+solved from their q-difference equation.)
 Only the public constructor validates keys and filters; results built
 from clean terms over the same keys go through ``_like``.
 
@@ -108,7 +105,6 @@ a flag monomial, and internal colorings are not validated again.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property
 from itertools import groupby, islice
 from operator import add
@@ -289,40 +285,6 @@ def torus_mul(x: TorusElement, y: TorusElement) -> TorusElement:
     x._check(y)
     acc: dict[tuple[int, ...], dict] = {}
     _accumulate(acc, x.signature, x.terms, {key: coeff._operand() for key, coeff in y.terms.items()})
-    return x._like(_settle(acc, x.terms))
-
-
-def _mul_linear(x: TorusElement, coeffs: Sequence) -> TorusElement:
-    """``x * (1 + sum_t coeffs[t] * x_t)``, equal to ``torus_mul`` against that linear element.
-
-    Moving ``x_t`` left past the key ``ea`` costs ``v**shift``, with
-    ``shift`` the sum of ``c(i, t) = -c(t, i)`` over the entries ``i`` of
-    ``tail = ea[pos:]``, where ``pos = bisect_right(ea, t)``; ``x_t`` then
-    goes in between ``ea[:pos]`` and ``tail``.  That is ``_mul_exps`` with
-    ``(t,)`` on the right, summed over the key's own entries.  The operands
-    are made once per factor, for the nonzero coefficients only, so a
-    coefficient that truncation has emptied costs nothing per term.
-    """
-    skew = x.signature.skew
-    operands = [(t, coeff._operand()) for t, coeff in enumerate(coeffs) if coeff]
-    acc: dict[tuple[int, ...], dict] = {}
-    for ea, ca in x.terms.items():
-        dest = acc.get(ea)
-        if dest is None:  # a whole copy: maps grown entry by entry left a larger heap
-            acc[ea] = dict(ca.terms)
-        else:
-            get = dest.get
-            for key, c in ca.terms.items():
-                dest[key] = get(key, 0) + c
-        addmul = ca._addmul
-        for t, operand in operands:
-            pos = bisect_right(ea, t)
-            tail = ea[pos:]
-            key = ea[:pos] + (t,) + tail
-            dest = acc.get(key)
-            if dest is None:
-                dest = acc[key] = {}
-            addmul(dest, operand, -sum(map(skew[t].__getitem__, tail)))
     return x._like(_settle(acc, x.terms))
 
 

@@ -113,12 +113,13 @@ def _programme(
     d: PlanarDiagram,
     cycles: Sequence[Cycle],
     slots: Sequence[int],
-    n: int,
+    labels: Sequence[int],
     cap: Sequence[int] | None = None,
 ) -> dict[tuple[int, ...], dict[int, int]]:
     """Exponent counts of the colorings that states over ``cycles`` realize
-    at level ``n``, keyed by their colors on ``slots`` (diagram slots, see
-    ``PlanarDiagram``), which must hold every edge and circle of the cycles.
+    with the doubled strand ``labels`` of a level, keyed by their colors on
+    ``slots`` (diagram slots, see ``PlanarDiagram``), which must hold every
+    edge and circle of the cycles.
 
     With a ``cap`` of colors on ``slots``, only colorings that exceed it in
     no slot are kept.
@@ -138,7 +139,7 @@ def _programme(
         for cycle in cycles
     ]
     layer = {(0,) * len(slots): {0: 1}}
-    for s in doubled_labels(n):
+    for s in labels:
         grown: dict[tuple[int, ...], dict[int, int]] = {}
         for coloring, counts in layer.items():
             for rot, held, plus, minus in moves:
@@ -179,10 +180,11 @@ def eval_table(
     A row's key joins its components' colors in component order; ``where``
     reads them back in slot order.
     """
+    labels = doubled_labels(n)  # refuses a negative level, also with no component
     rows: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
     order: list[int] = []
     for slots, cycles in _parts(d, cycle_set):
-        layer = _programme(d, cycles, slots, n)
+        layer = _programme(d, cycles, slots, labels)
         if order:
             rows = {key + tail: _convolve(counts, more) for key, counts in rows.items() for tail, more in layer.items()}
         else:
@@ -205,6 +207,7 @@ def moy_eval(
     ``DiagramError``.  Conserved colorings that no state realizes (for
     instance colors larger than ``n``) evaluate to zero.
     """
+    labels = doubled_labels(n)  # refuses a negative level, also with no component
     validate_coloring(d, coloring)
     cap = [0] * d.slot_count
     for e, k in coloring.edges:
@@ -214,7 +217,7 @@ def moy_eval(
     counts = {0: 1}
     for slots, cycles in _parts(d, cycle_set):
         target = tuple([cap[slot] for slot in slots])
-        part = _programme(d, cycles, slots, n, target).get(target)
+        part = _programme(d, cycles, slots, labels, target).get(target)
         if part is None:
             return QLaurent.zero()
         counts = _convolve(counts, part)

@@ -3,7 +3,8 @@ to its defining submodule's object, the package exports exactly its
 submodules' lists and leaks no other public name, every imported name is
 used, every private name has a caller, every exported function or class
 and every public method has a reader besides the unit tests, the package
-imports nothing outside the standard library, and the README's library
+imports nothing outside the standard library, the state sum and the
+twisted products import nothing of each other, and the README's library
 example runs."""
 
 import ast
@@ -116,6 +117,33 @@ def test_the_runtime_imports_only_the_standard_library():
     assert imported and "__future__" in imported
     assert sorted(imported - sys.stdlib_module_names) == []
 
+
+
+def _submodules_imported(module):
+    """The package submodules that ``module``'s source imports from, read from its AST."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = resolve_name("." * node.level + (node.module or ""), module.__package__)
+            imported.update([source] + [f"{source}.{a.name}" for a in node.names])
+    return {name.split(".")[1] for name in imported if name.startswith("moyeval.")}
+
+
+def test_the_state_sum_and_the_twisted_products_stay_independent():
+    # routes 1 and 2 compute each level-N table by separate code: the state
+    # sum reads no torus, and the twisted products, whose kernel the HOMFLY
+    # checks share, read neither the state sum nor the HOMFLY layer; homfly
+    # itself reads eval_table as the reference of specialization_check
+    banned = {
+        moyeval.statesum: {"qtorus", "genseries", "homfly"},
+        moyeval.qtorus: {"statesum", "homfly"},
+        moyeval.genseries: {"statesum", "homfly"},
+    }
+    assert "qtorus" in _submodules_imported(moyeval.genseries)
+    for module, names in banned.items():
+        assert _submodules_imported(module) & names == set(), module.__name__
 
 def _is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))

@@ -9,7 +9,7 @@ import pytest
 import moyeval.homfly
 import moyeval.qtorus
 from moyeval.cli import main
-from moyeval.diagram import Coloring, DiagramError, builtin, parse_diagram, serialize_diagram
+from moyeval.diagram import Coloring, DiagramError, PlanarDiagram, builtin, parse_diagram, serialize_diagram
 from moyeval.genseries import classical_series, generating_series_N, pochhammer_N
 from moyeval.homfly import (
     TruncatedTorusSeries,
@@ -21,8 +21,8 @@ from moyeval.homfly import (
     specialize_to_N,
 )
 from moyeval.qexact import QLaurent, TruncatedRSeries, qbinom
-from moyeval.qtorus import CycleAlgebra, TorusElement, TorusSignature, _mul_linear, torus_mul
-from moyeval.statesum import eval_table, eval_table_alt, moy_eval, moy_eval_alt
+from moyeval.qtorus import CycleAlgebra, TorusElement, TorusSignature, torus_mul
+from moyeval.statesum import classical_eval, eval_table, eval_table_alt, moy_eval, moy_eval_alt
 from test_chain import chain
 from test_cycles import thetas
 from test_qtorus import fold_image, linear_element
@@ -62,12 +62,14 @@ def uncapped_product(a, b):
 
 
 def linear_by_product(x, coeffs):
-    """Reference linear kernel: ``torus_mul`` against the explicit factor."""
-    one = TruncatedRSeries.one(next(iter(x.terms.values())).q_order)
+    """``x * (1 + sum_t coeffs[t] * x_t)``: ``torus_mul`` against the explicit
+    factor, over the ring of ``coeffs``."""
+    first = coeffs[0]
+    one = QLaurent.one() if isinstance(first, QLaurent) else TruncatedRSeries.one(first.q_order)
     return torus_mul(x, linear_element(x.signature, one, coeffs))
 
 
-def factor_product(ca, e_v, e_b, x_degree, q_order, linear=_mul_linear):
+def factor_product(ca, e_v, e_b, x_degree, q_order):
     """Reference infinite product: the twist factors ``k = 0, 1, ...`` multiplied
     out one by one, dropping x-degree above the bound after each.  With every
     rotation at least 1 the factors past ``k = (q_order - e_v) // 4`` are 1
@@ -76,7 +78,7 @@ def factor_product(ca, e_v, e_b, x_degree, q_order, linear=_mul_linear):
     acc = one.element
     for k in range(max(0, (q_order - e_v) // 4 + 1)):
         coeffs = [TruncatedRSeries.monomial(q_order, (e_v + 4 * k) * rot, e_b * rot) for rot in ca.rots]
-        acc = TruncatedTorusSeries(x_degree, q_order, linear(acc, coeffs)).element
+        acc = TruncatedTorusSeries(x_degree, q_order, linear_by_product(acc, coeffs)).element
     return one._like(acc.terms)
 
 
@@ -445,14 +447,14 @@ def test_every_operation_keeps_terms_clean():
             x_degree, q_order, TorusElement(ca.signature, {(): constant})))
 
     def linear(coeff):
-        # the linear kernel of the finite twisted products
-        return [lambda x, y: _mul_linear(x, [coeff() for _ in range(k)])]
+        # the linear factors of the finite twisted products
+        return [lambda x, y: linear_by_product(x, [coeff() for _ in range(k)])]
 
     shared = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
               lambda x, y: -x, lambda x, y: x - x]
-    # the linear kernel on the series' terms, cut to the x-degree bound by the constructor
+    # a linear factor on the series' terms, cut to the x-degree bound by the constructor
     series_linear = [lambda x, y: TruncatedTorusSeries(
-        x_degree, q_order, _mul_linear(x.element, [rseries() for _ in range(k)]))]
+        x_degree, q_order, linear_by_product(x.element, [rseries() for _ in range(k)]))]
     times_v = [lambda x, y: x.times_v(rng.randrange(-4, q_order + 4))]
     shift_a = [lambda x, y: x.shift_a(rng.randrange(-q_order, q_order + 1))]
     retruncate = [lambda x: x.retruncate(rng.randrange(-2, q_order + 1))]
@@ -602,6 +604,26 @@ def test_a_flipped_right_push_fails_the_defining_equation(monkeypatch):
         assert not report.ok and report.detail.startswith("residual has "), d
 
 
+def test_a_negated_torus_shift_fails_routes_1_and_3(monkeypatch):
+    # the finite twisted products and the checks' products share one kernel,
+    # _mul_exps: with every shift negated, the level-3 table no longer matches
+    # the state sum, and the HOMFLY checks, whose q-difference solves push
+    # with their own shifts, fail on theta
+    shifts = moyeval.qtorus._mul_exps
+
+    def negated(signature, ea, eb):
+        shift, key = shifts(signature, ea, eb)
+        return -shift, key
+
+    d = builtin("tetrahedron")
+    assert generating_series_N(d, 3) == eval_table(d, 3)
+    monkeypatch.setattr(moyeval.qtorus, "_mul_exps", negated)
+    assert generating_series_N(d, 3) != eval_table(d, 3)
+    hs = homfly_series(builtin("theta"), 3, 8)
+    assert not check_fphi(hs).ok
+    assert not check_shift(hs).ok
+
+
 def closed_form(ca, x_degree, q_order):
     """``G = sum_{n <= D} g_n X**n`` on a diagram whose cycles all have rotation 1,
     at the target bound: ``X = sum_t x_t``, so every twist factor is
@@ -685,10 +707,10 @@ def test_truncation_bounds_are_coherent():
         assert loose.table[coloring].retruncate(8) == value
 
 
-def reference_quotient(ca, x_degree, q_order, linear=_mul_linear):
+def reference_quotient(ca, x_degree, q_order):
     """Reference ``G``: ``poch(a) * poch(a^{-1})**-1`` from the factor products,
     a Neumann inverse and an uncapped product, none of them a q-difference solve."""
-    poch_a, poch_ainv = (factor_product(ca, 2, e_b, x_degree, q_order, linear) for e_b in (-2, 2))
+    poch_a, poch_ainv = (factor_product(ca, 2, e_b, x_degree, q_order) for e_b in (-2, 2))
     return uncapped_product(poch_a, neumann_invert(poch_ainv))
 
 
@@ -696,20 +718,14 @@ def test_series_matches_the_uncapped_reference_pipeline(monkeypatch):
     # every solve replaced, check_fphi's included: the infinite products by
     # the twist factors multiplied out against explicit linear elements, and
     # G by the reference quotient instead of its own q-difference solve
-    def reference_poch_inf(ca, e_v, e_b, x_degree, work):
-        return factor_product(ca, e_v, e_b, x_degree, work, linear_by_product)
-
-    def reference_poch_quotient(ca, x_degree, work):
-        return reference_quotient(ca, x_degree, work, linear_by_product)
-
     cases = [("unknot", x, 12) for x in range(5)] + [("theta", x, 8) for x in range(5)]
     for name, x_degree, q_order in cases:
         hs = homfly_series(builtin(name), x_degree, q_order)
         report = check_fphi(hs)
         with monkeypatch.context() as m:
             m.setattr(TruncatedTorusSeries, "__mul__", uncapped_product)
-            m.setattr(moyeval.homfly, "_poch_inf", reference_poch_inf)
-            m.setattr(moyeval.homfly, "_poch_quotient", reference_poch_quotient)
+            m.setattr(moyeval.homfly, "_poch_inf", factor_product)
+            m.setattr(moyeval.homfly, "_poch_quotient", reference_quotient)
             m.setattr(moyeval.homfly, "_solve_twisted", None)  # no solve is left
             reference = homfly_series(builtin(name), x_degree, q_order)
             assert report.ok and check_fphi(reference) == report, (name, x_degree)
@@ -900,6 +916,7 @@ NEGATIVE_ARGUMENTS = {
     "eval_table_alt": (lambda d: eval_table_alt(d, -1), "n >= 0"),
     "moy_eval": (lambda d: moy_eval(d, Coloring(), -1), "n >= 0"),
     "moy_eval_alt": (lambda d: moy_eval_alt(d, Coloring(), -1), "n >= 0"),
+    "classical_eval": (lambda d: classical_eval(d, Coloring(), -1), "n >= 0"),
     "classical_series": (lambda d: classical_series(d, -1), "n >= 0"),
     "pochhammer_N": (lambda d: pochhammer_N(CycleAlgebra(d), -1), "n >= 0"),
     "generating_series_N": (lambda d: generating_series_N(d, -1), "n >= 0"),
@@ -909,12 +926,18 @@ NEGATIVE_ARGUMENTS = {
 }
 
 
+STATE_SUMS = {"eval_table", "eval_table_alt", "moy_eval", "moy_eval_alt", "classical_eval"}
+
+
 @pytest.mark.parametrize("name", NEGATIVE_ARGUMENTS)
 def test_negative_levels_and_bounds_are_refused(name):
-    # a negative level or bound has no meaning: each entry point names it
+    # a negative level or bound has no meaning: each entry point names it; a
+    # state sum refuses it on the empty diagram too, which has no component
+    # whose programme would read the level
     call, message = NEGATIVE_ARGUMENTS[name]
-    with pytest.raises(ValueError, match=message):
-        call(builtin("theta"))
+    for d in [builtin("theta")] + [PlanarDiagram()] * (name in STATE_SUMS):
+        with pytest.raises(ValueError, match=message):
+            call(d)
 
 
 def test_specialization_reports_a_value_mismatch(monkeypatch):

@@ -19,7 +19,6 @@ from moyeval.qtorus import (
     TorusElement,
     TorusSignature,
     _mul_exps,
-    _mul_linear,
     torus_mul,
 )
 from test_chain import chain
@@ -238,68 +237,30 @@ def test_normal_ordering_matches_the_dense_sum():
 
 def test_products_match_the_dense_formulas():
     # torus_mul on seeded random elements of the zoo, over both rings and
-    # with a poisoned diagonal, against the product on exponent vectors
+    # with a poisoned diagonal, against the product on exponent vectors; the
+    # right factors include the linear element 1 + sum_t c_t x_t, the factor
+    # pochhammer_N multiplies by
     rng = random.Random(2718)
     for ca in algebra_zoo():
         k = len(ca.signature)
         for signature in (ca.signature, poisoned(ca.signature)):
             for q_order in (None, 8):
+                one = QLaurent.one() if q_order is None else TruncatedRSeries.one(q_order)
                 for _ in range(3):
                     terms = [(random_key(rng, k, 3), rng.randrange(-6, 9), rng.randrange(-3, 4))
                              for _ in range(5)]
                     x, y = [TorusElement(signature, {key: ring(v, c, q_order) for key, v, c in terms[i::2]})
                             for i in (0, 1)]
-                    assert torus_mul(x, y) == dense_product(x, y)
-
-
-def test_linear_kernel_is_the_product_with_the_linear_element():
-    # on skewed cycle algebras, over both rings: the kernel equals torus_mul
-    # against the explicit factor
-    rng = random.Random(9157)
-
-    def laurent():
-        return QLaurent({rng.randrange(-6, 7): rng.randrange(-2, 3) for _ in range(3)})
-
-    def rseries():
-        return TruncatedRSeries(8, {
-            (rng.randrange(-4, 9), rng.randrange(-2, 3)): rng.randrange(-2, 3) for _ in range(3)})
-
-    for d in (builtin("tetrahedron"), parse_diagram(TWO_THETAS)):
-        signature = CycleAlgebra(d).signature
-        assert any(c < 0 for row in signature.skew for c in row)
-        k = len(signature)
-        for one, coeff in ((QLaurent.one(), laurent), (TruncatedRSeries.one(8), rseries)):
-            for _ in range(8):
-                x = TorusElement(signature)
-                for _ in range(6):
-                    key = signature.key([rng.randrange(0, 3) for _ in range(k)])
-                    x = x + TorusElement(signature, {key: coeff()})
-                coeffs = [coeff() for _ in range(k)]
-                assert _mul_linear(x, coeffs) == torus_mul(x, linear_element(signature, one, coeffs))
-
-
-def test_linear_kernel_matches_the_dense_formulas():
-    # the kernel against the dense product with the explicit factor, on the
-    # zoo, over both rings, with a poisoned diagonal too
-    rng = random.Random(1618)
-    for ca in algebra_zoo():
-        k = len(ca.signature)
-        for signature in (ca.signature, poisoned(ca.signature)):
-            for q_order in (None, 8):
-                one = QLaurent.one() if q_order is None else TruncatedRSeries.one(q_order)
-                for _ in range(4):
-                    x = TorusElement(signature, {
-                        random_key(rng, k, 3): ring(rng.randrange(-6, 9), rng.randrange(-3, 4), q_order)
-                        for _ in range(5)})
                     coeffs = [ring(rng.randrange(-4, 9), rng.randrange(-2, 3), q_order) for _ in range(k)]
-                    full = dense_product(x, linear_element(signature, one, coeffs))
-                    assert _mul_linear(x, coeffs) == full
+                    for right in (y, linear_element(signature, one, coeffs)):
+                        assert torus_mul(x, right) == dense_product(x, right)
 
 
 def test_a_pair_above_the_bound_is_dropped_before_its_shift():
     # u_1 * u_0 = v^(-2) u_0 u_1 at bound 8: the coefficient pair v^5 * v^4
     # forms v^9, which the shift would bring to v^7; it is dropped all the same,
-    # by torus_mul, by the linear kernel and by the ring's own accumulator
+    # by torus_mul, against a monomial and against a linear factor, and by the
+    # ring's own accumulator
     sig = small_signature()
 
     def mono(exps, v):
@@ -308,7 +269,9 @@ def test_a_pair_above_the_bound_is_dropped_before_its_shift():
     assert torus_mul(mono((0, 1), 5), mono((1, 0), 4)) == TorusElement(sig)
     assert torus_mul(mono((0, 1), 4), mono((1, 0), 4)) == mono((1, 1), 6)
     x = mono((0, 1), 5)
-    assert _mul_linear(x, [TruncatedRSeries.monomial(8, 4, 0), TruncatedRSeries.zero(8)]) == x
+    factor = linear_element(sig, TruncatedRSeries.one(8),
+                            [TruncatedRSeries.monomial(8, 4, 0), TruncatedRSeries.zero(8)])
+    assert torus_mul(x, factor) == x
     a, b = TruncatedRSeries.monomial(8, 5, 1), TruncatedRSeries.monomial(8, 3, 1)
     for shift, kept in ((-2, {(6, 2): 1}), (0, {(8, 2): 1}), (1, {})):
         dest = {}
